@@ -9,7 +9,6 @@ identity.
 """
 
 from minkgeom import is_hadamard, walsh_matrix
-from minkgeom.qlinalg import mat_mul, transpose
 
 for k in (1, 2, 3):
     M = walsh_matrix(k)
@@ -20,7 +19,7 @@ for k in (1, 2, 3):
 
 # The defining identity, checked in exact integer arithmetic.
 M = walsh_matrix(3)
-P = mat_mul(M, transpose(M))
+P = [[sum(a * b for a, b in zip(r, s)) for s in M] for r in M]
 print("M * M^T for order 8 has diagonal", P[0][0], "and off-diagonal", P[0][1])
 print("is_hadamard:", is_hadamard(M))
 

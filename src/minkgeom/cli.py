@@ -17,7 +17,7 @@ import sys
 from .completeness import is_complete, search_reduction_witness, verify_reduction_witness
 from .constructions import tetrahedron_k, verify_claims_dim3, verify_proposition, walsh_simplex
 from .errors import GeometryError
-from .metrics import metrics_report
+from .metrics import THICKNESS_MODES, metrics_report
 from .norms import custom_ball, l1_ball, linf_ball
 from .polytope import VPolytope, body_from_obj, body_to_obj, halfspace_from_obj
 from .walsh import walsh_matrix
@@ -41,7 +41,7 @@ def _load_ball(spec, dim):
     if spec == "linf":
         return linf_ball(dim)
     obj = _read_json(spec)
-    if not isinstance(obj, dict) or "vertices" not in obj or "facets" not in obj:
+    if not isinstance(obj, dict) or not {"dim", "vertices", "facets"} <= obj.keys():
         raise ValueError("a custom ball file needs 'dim', 'vertices' and 'facets'")
     ball_v = body_from_obj({"dim": obj["dim"], "vertices": obj["vertices"]})
     ball_h = body_from_obj({"dim": obj["dim"], "facets": obj["facets"]})
@@ -134,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ball", required=True, help="l1, linf, or a custom ball JSON file")
     p.add_argument(
         "--mode",
-        choices=("exact_lp", "difference_body"),
+        choices=THICKNESS_MODES,
         default="exact_lp",
         help="thickness algorithm",
     )

@@ -22,14 +22,12 @@ from .polytope import (
     VPolytope,
     body_to_obj,
     contains,
-    cut_simplex,
-    extreme_points,
+    cut_polytope,
     facets_of,
     halfspace_to_obj,
-    is_simplex,
     support,
 )
-from .qlinalg import affine_rank, dot, exact_div, fmt_rat, fmt_vec, vneg, vsub
+from .qlinalg import affine_rank, dot, fmt_rat, fmt_vec, vneg, vsub
 
 
 def ball_hull(P: VPolytope, r, ball: PolytopalNorm) -> HPolytope:
@@ -137,25 +135,6 @@ class ReductionWitness:
         }
 
 
-def _cut_body(P: VPolytope, h: Halfspace) -> VPolytope:
-    """Vertices of P ∩ {h}: exact for simplices, LP-filtered otherwise."""
-    if is_simplex(P):
-        return cut_simplex(P, h)
-    vals = [dot(h.normal, v) - h.rhs for v in P.vertices]
-    kept = [v for v, val in zip(P.vertices, vals) if val <= 0]
-    if not kept:
-        raise EmptyIntersection("the cut removes every vertex")
-    candidates = list(kept)
-    for i, vi in enumerate(P.vertices):
-        if vals[i] <= 0:
-            continue
-        for j, vj in enumerate(P.vertices):
-            if vals[j] < 0:
-                t = exact_div(vals[i], vals[i] - vals[j])
-                candidates.append(tuple(a + t * (b - a) for a, b in zip(vi, vj)))
-    return VPolytope(P.dim, extreme_points(candidates, P.dim))
-
-
 def verify_reduction_witness(P: VPolytope, h: Halfspace, ball: PolytopalNorm) -> ReductionWitness:
     """Check one halfspace cut: valid iff it removes a vertex and keeps the thickness.
 
@@ -172,7 +151,7 @@ def verify_reduction_witness(P: VPolytope, h: Halfspace, ball: PolytopalNorm) ->
     before, _ = thickness(P, ball, "exact_lp")
     if not removed:
         return ReductionWitness(h, removed, before, before, False)
-    Q = _cut_body(P, h)
+    Q = cut_polytope(P, h)
     if affine_rank(Q.vertices) != P.dim:
         raise DegenerateBody("the cut body is lower-dimensional")
     after, _ = thickness(Q, ball, "exact_lp")

@@ -4,6 +4,11 @@ All metric quantities are taken with respect to a polyhedral Minkowski norm;
 a width divides the Euclidean slab extent by the support of the unit ball in
 the slab's normal direction, so the direction vector itself only carries the
 hyperplane orientation.
+
+The thickness (minimal width) is the inradius of the difference body P - P
+in the norm: the largest t with t times the ball inside P - P.  Both thickness
+modes compute that one quantity, exact_lp from the vertices of P and
+difference_body from the facets of P - P, so each checks the other.
 """
 
 from __future__ import annotations
@@ -88,16 +93,17 @@ def inball_scale(H: HPolytope, ball: PolytopalNorm):
 
 
 def _thickness_exact_lp(P: VPolytope, ball: PolytopalNorm):
-    """Minimum width by one LP per ball vertex.
+    """Inradius of P - P in the ball's norm, from the vertices of P.
 
-    Directions are normalized to the boundary of the dual ball, which is
-    covered by the pieces {u : u . w = 1, u . w' <= 1 for the other ball
-    vertices w'}; on each piece the width is linear, so an LP minimizes it.
+    The width in direction u is h_{P-P}(u) / h_B(u), so the thickness is the
+    minimum, over the ball vertices w, of min{h_{P-P}(u) : u . w = 1}: on that
+    hyperplane h_B(u) >= 1, with equality at the minimizer of the best w.  One
+    LP per vertex minimizes h_{P-P}(u) = max v.u - min v.u over the vertices v
+    of P; h_{P-P} is even, so a vertex whose negative came earlier is skipped.
     Ties go to the lowest ball-vertex index, then to the LP's deterministic
     pivoting.
     """
     d = P.dim
-    ball_verts = ball.ball_v.vertices
     vertex_rows = []
     for v in P.vertices:
         vertex_rows.append((tuple(v) + (0, -1), 0))
@@ -105,29 +111,28 @@ def _thickness_exact_lp(P: VPolytope, ball: PolytopalNorm):
     objective = (0,) * d + (1, -1)
     best = None
     best_dir = None
-    for m_idx, w in enumerate(ball_verts):
-        cons = list(vertex_rows)
-        cons.append((tuple(w) + (0, 0), 1))
-        cons.append((vneg(w) + (0, 0), -1))
-        for l_idx, wl in enumerate(ball_verts):
-            if l_idx != m_idx:
-                cons.append((tuple(wl) + (0, 0), 1))
+    seen = set()
+    for w in ball.ball_v.vertices:
+        if vneg(w) in seen:
+            continue
+        seen.add(w)
+        cons = vertex_rows + [(w + (0, 0), 1), (vneg(w) + (0, 0), -1)]
         out = lp_max_assume_bounded(LpProblem(objective, tuple(cons)))
         if out.status != OPTIMAL:
             raise RuntimeError("thickness LP must be optimal for a full-dim body")
-        piece_width = -out.optimum
-        if best is None or piece_width < best:
-            best = piece_width
+        if best is None or -out.optimum < best:
+            best = -out.optimum
             best_dir = out.point[:d]
     return best, best_dir
 
 
 def _thickness_difference_body(P: VPolytope, ball: PolytopalNorm):
-    """Minimum width from the facets of the difference body.
+    """Inradius of P - P in the ball's norm, from the facets of P - P.
 
-    The reciprocal of the thickness is the maximum of the dual norm over the
-    polar of the difference body, attained at one of its vertices, i.e. at a
-    facet normal of the difference body itself.
+    t times the ball lies inside the facet a . x <= b exactly when
+    t * h_B(a) <= b, so the inradius is the least b / h_B(a) over the facets;
+    the witness direction is that facet's normal.  Facet enumeration makes
+    this the slow mode, kept as the independent check of exact_lp.
     """
     D = difference_body(P)
     H = hull_facets(D.vertices, P.dim)
@@ -142,7 +147,11 @@ def _thickness_difference_body(P: VPolytope, ball: PolytopalNorm):
 
 
 def thickness(P: VPolytope, ball: PolytopalNorm, mode: str = "exact_lp"):
-    """(minimal width, witness direction) of a full-dimensional polytope."""
+    """(minimal width, witness direction) of a full-dimensional polytope.
+
+    mode is one of THICKNESS_MODES; the direction's width is checked to
+    reproduce the value.
+    """
     if P.dim != ball.dim:
         raise DimensionMismatch(f"body dim {P.dim} vs ball dim {ball.dim}")
     if affine_rank(P.vertices) != P.dim:

@@ -111,18 +111,6 @@ def support(P: VPolytope, u):
     return max(dot(u, v) for v in P.vertices)
 
 
-def support_witness(P: VPolytope, u):
-    """(support value, index of the first point attaining it)."""
-    best = None
-    best_i = -1
-    for i, v in enumerate(P.vertices):
-        val = dot(u, v)
-        if best is None or val > best:
-            best = val
-            best_i = i
-    return best, best_i
-
-
 def is_simplex(P: VPolytope) -> bool:
     return len(P.vertices) == P.dim + 1 and affine_rank(P.vertices) == P.dim
 
@@ -181,37 +169,35 @@ def is_subset(P, Q: HPolytope) -> bool:
     return True
 
 
-def cut_simplex(P: VPolytope, h: Halfspace) -> VPolytope:
-    """Vertices of simplex ∩ halfspace.
+def cut_polytope(P: VPolytope, h: Halfspace) -> VPolytope:
+    """Vertices of P ∩ {h}.
 
-    Kept vertices stay in order, then one crossing point per edge from a
-    strictly cut vertex to a strictly kept one, in (cut index, kept index)
-    order.  Vertices on the boundary hyperplane are kept as they are.
+    Kept vertices stay in order, then the crossing point of each segment from
+    a strictly cut vertex to a strictly kept one, in (cut index, kept index)
+    order; vertices on the boundary hyperplane are kept as they are.  For a
+    simplex these segments are edges and the points are exactly the vertices;
+    otherwise they are filtered by extreme_points.  A cut that removes nothing
+    returns P itself.
     """
     d = P.dim
     if len(h.normal) != d:
         raise DimensionMismatch(f"cut normal of length {len(h.normal)} in dimension {d}")
-    if len(P.vertices) != d + 1 or affine_rank(P.vertices) != d:
-        raise DegenerateBody("cut_simplex expects a full-dimensional simplex")
     vals = [dot(h.normal, v) - h.rhs for v in P.vertices]
-    cut_idx = [i for i, val in enumerate(vals) if val > 0]
-    kept_idx = [i for i, val in enumerate(vals) if val <= 0]
-    if not kept_idx:
+    kept = [v for v, val in zip(P.vertices, vals) if val <= 0]
+    if not kept:
         raise EmptyIntersection("the cut removes every vertex")
-    if not cut_idx:
+    if len(kept) == len(P.vertices):
         return P
-    new_pts = [P.vertices[i] for i in kept_idx]
-    seen = set(new_pts)
-    for i in cut_idx:
-        vi = P.vertices[i]
-        for j in kept_idx:
-            if vals[j] < 0:
-                t = exact_div(vals[i], vals[i] - vals[j])
-                pt = tuple(a + t * (b - a) for a, b in zip(vi, P.vertices[j]))
-                if pt not in seen:
-                    seen.add(pt)
-                    new_pts.append(pt)
-    return VPolytope(d, tuple(new_pts))
+    pts = dict.fromkeys(kept)
+    for vi, a in zip(P.vertices, vals):
+        if a > 0:
+            for vj, b in zip(P.vertices, vals):
+                if b < 0:
+                    t = exact_div(a, a - b)
+                    pts.setdefault(tuple(x + t * (y - x) for x, y in zip(vi, vj)))
+    if is_simplex(P):
+        return VPolytope(d, tuple(pts))
+    return VPolytope(d, extreme_points(pts, d))
 
 
 def difference_body(P: VPolytope) -> VPolytope:
@@ -370,10 +356,16 @@ def halfspace_to_obj(h: Halfspace) -> dict:
     return {"a": fmt_vec(h.normal), "b": fmt_rat(h.rhs)}
 
 
+def _array(value, what):
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be an array, got {value!r}")
+    return value
+
+
 def halfspace_from_obj(obj) -> Halfspace:
     if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
         raise ValueError("a halfspace needs fields 'a' and 'b'")
-    return halfspace(parse_vec(obj["a"]), parse_rat(obj["b"]))
+    return halfspace(parse_vec(_array(obj["a"], "'a'")), parse_rat(obj["b"]))
 
 
 def body_to_obj(body) -> dict:
@@ -391,7 +383,9 @@ def body_from_obj(obj):
     if isinstance(dim, bool) or not isinstance(dim, int):
         raise ValueError("'dim' must be an integer")
     if "vertices" in obj:
-        return VPolytope(dim, tuple(parse_vec(v) for v in obj["vertices"]))
+        verts = _array(obj["vertices"], "'vertices'")
+        return VPolytope(dim, tuple(parse_vec(_array(v, "a vertex")) for v in verts))
     if "facets" in obj:
-        return HPolytope(dim, tuple(halfspace_from_obj(f) for f in obj["facets"]))
+        facets = _array(obj["facets"], "'facets'")
+        return HPolytope(dim, tuple(halfspace_from_obj(f) for f in facets))
     raise ValueError("a body needs either 'vertices' or 'facets'")

@@ -14,9 +14,6 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch
 
-Rat = "int | Fraction"
-Vec = "tuple[Rat, ...]"
-
 
 def parse_rat(value):
     """Convert int / Fraction / 'p' / 'p/q' to a canonical rational.
@@ -75,12 +72,6 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vadd(u, v):
-    if len(u) != len(v):
-        raise DimensionMismatch(f"add of lengths {len(u)} and {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u, v):
     if len(u) != len(v):
         raise DimensionMismatch(f"sub of lengths {len(u)} and {len(v)}")
@@ -95,31 +86,10 @@ def vscale(t, u):
     return tuple(t * a for a in u)
 
 
-def zero_vec(dim):
-    return (0,) * dim
-
-
 def unit_vec(dim, index):
     if not 0 <= index < dim:
         raise DimensionMismatch(f"unit vector index {index} out of range for dim {dim}")
     return tuple(1 if i == index else 0 for i in range(dim))
-
-
-def transpose(mat):
-    return tuple(zip(*mat)) if mat else ()
-
-
-def mat_vec(mat, x):
-    return tuple(dot(row, x) for row in mat)
-
-
-def mat_mul(a, b):
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def identity(n):
-    return tuple(unit_vec(n, i) for i in range(n))
 
 
 def _forward_eliminate(rows):

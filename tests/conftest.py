@@ -29,11 +29,16 @@ def box3():
     return linf_ball(3)
 
 
-def random_simplex(rng: random.Random, dim: int) -> VPolytope:
-    """A full-dimensional simplex with integer coordinates in [-4, 4]."""
+def random_body(rng: random.Random, dim: int, npts: int) -> VPolytope:
+    """npts distinct integer points in [-4, 4]^dim spanning the space."""
     while True:
         verts = tuple(
-            tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(dim + 1)
+            tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(npts)
         )
-        if len(set(verts)) == dim + 1 and affine_rank(verts) == dim:
+        if len(set(verts)) == npts and affine_rank(verts) == dim:
             return VPolytope(dim, verts)
+
+
+def random_simplex(rng: random.Random, dim: int) -> VPolytope:
+    """A full-dimensional simplex with integer coordinates in [-4, 4]."""
+    return random_body(rng, dim, dim + 1)

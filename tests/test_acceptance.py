@@ -23,11 +23,11 @@ from minkgeom.norms import custom_ball, l1_ball, linf_ball, norm
 from minkgeom.polytope import (
     HPolytope,
     VPolytope,
-    cut_simplex,
+    cut_polytope,
     halfspace,
     is_subset,
 )
-from minkgeom.qlinalg import dot, vadd, vscale
+from minkgeom.qlinalg import dot, vscale
 from minkgeom.walsh import is_hadamard, walsh_matrix
 
 from conftest import random_simplex
@@ -88,7 +88,7 @@ def test_criterion_2_n3_exact(announce):
 def test_criterion_3_n4_certificate(announce):
     rep, elapsed = _proposition(4, "certificate")
     S = walsh_simplex(4)
-    cut_body = cut_simplex(S, halfspace((1,) * 15, 1))
+    cut_body = cut_polytope(S, halfspace((1,) * 15, 1))
     passed = (
         rep.ok
         and rep.mode == "certificate"
@@ -177,7 +177,7 @@ def test_criterion_6_property_suites(announce):
     @given(x=vec3, y=vec3, t=rational, p2=st.tuples(rational, rational))
     def norm_axioms(x, y, t, p2):
         for b in balls3:
-            assert norm(vadd(x, y), b) <= norm(x, b) + norm(y, b)
+            assert norm(tuple(a + c for a, c in zip(x, y)), b) <= norm(x, b) + norm(y, b)
             assert norm(vscale(t, x), b) == abs(t) * norm(x, b)
             assert (norm(x, b) == 0) == (not any(x))
         assert norm(vscale(t, p2), hexagon) == abs(t) * norm(p2, hexagon)

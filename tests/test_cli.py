@@ -5,7 +5,13 @@ import json
 import pytest
 
 from minkgeom.cli import main
+from minkgeom.norms import l1_ball
 from minkgeom.polytope import body_to_obj
+
+L1_BALL_3 = {
+    "vertices": body_to_obj(l1_ball(3).ball_v)["vertices"],
+    "facets": body_to_obj(l1_ball(3).ball_h)["facets"],
+}
 
 
 @pytest.fixture
@@ -86,16 +92,8 @@ class TestMetrics:
         assert obj["thickness_mode"] == "difference_body"
 
     def test_custom_ball_file(self, capsys, k_file, tmp_path):
-        from minkgeom.norms import l1_ball
-
-        ball = l1_ball(3)
-        spec = {
-            "dim": 3,
-            "vertices": body_to_obj(ball.ball_v)["vertices"],
-            "facets": body_to_obj(ball.ball_h)["facets"],
-        }
         ball_file = tmp_path / "ball.json"
-        ball_file.write_text(json.dumps(spec))
+        ball_file.write_text(json.dumps({"dim": 3, **L1_BALL_3}))
         code, obj = run(capsys, ["metrics", "--body", k_file, "--ball", str(ball_file)])
         assert code == 0
         assert obj["diameter"] == "4"
@@ -199,3 +197,24 @@ class TestErrors:
         code, obj = run(capsys, ["metrics", "--body", str(hfile), "--ball", "l1"])
         assert code == 2
         assert "vertex form" in obj["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "body, ball",
+        [
+            (None, L1_BALL_3),  # a custom ball without 'dim'
+            ({"dim": 3, "vertices": 5}, "l1"),
+            ({"dim": 3, "vertices": [1, 2, 3]}, "l1"),
+        ],
+    )
+    def test_malformed_input_is_an_error_object(self, capsys, tmp_path, k_file, body, ball):
+        body_file = k_file
+        if body is not None:
+            body_file = tmp_path / "body.json"
+            body_file.write_text(json.dumps(body))
+        if isinstance(ball, dict):
+            ball_file = tmp_path / "ball.json"
+            ball_file.write_text(json.dumps(ball))
+            ball = str(ball_file)
+        code, obj = run(capsys, ["metrics", "--body", str(body_file), "--ball", ball])
+        assert code == 2
+        assert obj["error"]["type"] == "ValueError"

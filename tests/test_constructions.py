@@ -11,7 +11,7 @@ from minkgeom.constructions import (
 )
 from minkgeom.errors import SizeLimitExceeded
 from minkgeom.norms import l1_ball, norm
-from minkgeom.qlinalg import affine_rank, vsub, zero_vec
+from minkgeom.qlinalg import affine_rank, vsub
 
 
 class TestTetrahedron:
@@ -37,10 +37,10 @@ class TestWalshSimplex:
     @pytest.mark.parametrize("n", [2, 3])
     def test_vertices_sum_to_zero(self, n):
         S = walsh_simplex(n)
-        total = zero_vec(S.dim)
+        total = (0,) * S.dim
         for v in S.vertices:
             total = tuple(a + b for a, b in zip(total, v))
-        assert total == zero_vec(S.dim)
+        assert total == (0,) * S.dim
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_equilateral_under_l1(self, n):

@@ -14,11 +14,18 @@ from minkgeom.metrics import (
     thickness,
     width,
 )
-from minkgeom.norms import l1_ball, linf_ball, norm
-from minkgeom.polytope import VPolytope, cut_simplex, facets_of, halfspace, simplex_hrep
-from minkgeom.qlinalg import vadd, vsub
+from minkgeom.norms import custom_ball, l1_ball, linf_ball, norm
+from minkgeom.polytope import (
+    HPolytope,
+    VPolytope,
+    cut_polytope,
+    facets_of,
+    halfspace,
+    simplex_hrep,
+)
+from minkgeom.qlinalg import vsub
 
-from conftest import random_simplex
+from conftest import random_body, random_simplex
 
 
 class TestWidth:
@@ -123,7 +130,7 @@ class TestThickness:
     def test_halved_tetrahedron_is_thinner(self, K, ball3):
         # Cutting K at z <= 0 leaves a body of thickness 1: the slab between
         # z = -1 and z = 0 is the narrowest direction.
-        Q = cut_simplex(K, halfspace((0, 0, 1), 0))
+        Q = cut_polytope(K, halfspace((0, 0, 1), 0))
         t_lp, u_lp = thickness(Q, ball3, "exact_lp")
         t_db, _ = thickness(Q, ball3, "difference_body")
         assert t_lp == t_db == 1
@@ -141,7 +148,7 @@ class TestThickness:
 
     def test_translation_invariance(self, K, ball3):
         shift = (3, -2, 5)
-        Kt = VPolytope(3, tuple(vadd(v, shift) for v in K.vertices))
+        Kt = VPolytope(3, tuple(tuple(a + b for a, b in zip(v, shift)) for v in K.vertices))
         assert thickness(Kt, ball3)[0] == thickness(K, ball3)[0]
         assert diameter(Kt, ball3)[0] == diameter(K, ball3)[0]
 
@@ -152,13 +159,25 @@ class TestThickness:
 
     def test_modes_agree_on_random_simplices(self, ball3):
         rng = random.Random(7)
-        for _ in range(5):
-            P = random_simplex(rng, 3)
-            t_lp, u_lp = thickness(P, ball3, "exact_lp")
-            t_db, u_db = thickness(P, ball3, "difference_body")
+        cases = [(random_simplex(rng, 3), ball3) for _ in range(5)]
+        # A hexagonal prism: a custom ball with facets of two shapes.
+        hexagon = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+        sides = ((1, 1), (-1, -1), (1, 0), (-1, 0), (0, 1), (0, -1))
+        prism = custom_ball(
+            VPolytope(3, tuple(p + (z,) for p in hexagon for z in (1, -1))),
+            HPolytope(3, tuple(halfspace(a + (0,), 1) for a in sides)
+                      + (halfspace((0, 0, 1), 1), halfspace((0, 0, -1), 1))),
+        )
+        bodies = [random_body(rng, d, d + 1 + extra) for d in (3, 4) for extra in (0, 1, 2)]
+        cases += [(P, ball) for P in bodies[:3] for ball in (ball3, linf_ball(3), prism)]
+        # Facet enumeration of P - P grows fast in dimension 4: one ball per body.
+        cases += [(bodies[3], linf_ball(4)), (bodies[4], l1_ball(4)), (bodies[5], linf_ball(4))]
+        for P, ball in cases:
+            t_lp, u_lp = thickness(P, ball, "exact_lp")
+            t_db, u_db = thickness(P, ball, "difference_body")
             assert t_lp == t_db
-            assert width(P, u_lp, ball3) == t_lp
-            assert width(P, u_db, ball3) == t_lp
+            assert width(P, u_lp, ball) == t_lp
+            assert width(P, u_db, ball) == t_lp
 
     def test_flat_body_rejected(self, ball3):
         P = VPolytope(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0)))

@@ -18,7 +18,7 @@ from minkgeom.polytope import (
     body_from_obj,
     body_to_obj,
     contains,
-    cut_simplex,
+    cut_polytope,
     difference_body,
     extreme_points,
     facets_of,
@@ -30,7 +30,6 @@ from minkgeom.polytope import (
     is_subset,
     simplex_hrep,
     support,
-    support_witness,
 )
 from minkgeom.qlinalg import dot
 
@@ -85,11 +84,6 @@ class TestSupport:
         assert support(K, (1, 0, 0)) == 1
         assert support(K, (1, 1, 1)) == 1
         assert support(K, (-1, -1, -1)) == 3
-
-    def test_support_witness(self, K):
-        val, idx = support_witness(K, (-1, -1, -1))
-        assert val == 3
-        assert idx == 0
 
     def test_dimension_checked(self, K):
         with pytest.raises(DimensionMismatch):
@@ -182,7 +176,7 @@ class TestCutSimplex:
     def test_tetrahedron_cut_frozen(self, K):
         # Cutting off the vertex (-1,-1,-1) at its three edge midpoints.
         cut = Halfspace((-1, -1, -1), 1)
-        Q = cut_simplex(K, cut)
+        Q = cut_polytope(K, cut)
         assert set(Q.vertices) == {
             (1, 1, -1),
             (1, -1, 1),
@@ -193,27 +187,47 @@ class TestCutSimplex:
         }
 
     def test_no_cut_returns_same_body(self, K):
-        Q = cut_simplex(K, Halfspace((1, 0, 0), 5))
+        Q = cut_polytope(K, Halfspace((1, 0, 0), 5))
         assert Q.vertices == K.vertices
 
     def test_touching_cut_keeps_all_vertices(self, K):
         # support of K in (1,1,1) is 1, attained by three vertices.
-        Q = cut_simplex(K, Halfspace((1, 1, 1), 1))
+        Q = cut_polytope(K, Halfspace((1, 1, 1), 1))
         assert Q.vertices == K.vertices
 
     def test_everything_removed_raises(self, K):
         with pytest.raises(EmptyIntersection):
-            cut_simplex(K, Halfspace((1, 0, 0), -2))
+            cut_polytope(K, Halfspace((1, 0, 0), -2))
 
     def test_fractional_crossing(self):
         # Segment from (0,0) to (3,0) cut at x <= 2 crosses at t = 2/3.
         P = VPolytope(2, ((0, 0), (3, 0), (0, 3)))
-        Q = cut_simplex(P, Halfspace((1, 0), 2))
+        Q = cut_polytope(P, Halfspace((1, 0), 2))
         assert set(Q.vertices) == {(0, 0), (0, 3), (2, 0), (2, 1)}
 
-    def test_cut_requires_simplex(self, cube3):
-        with pytest.raises(DegenerateBody):
-            cut_simplex(cube3, Halfspace((1, 0, 0), 0))
+
+CUBE = tuple((x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1))
+HALF_CUBE = CUBE[:4] + ((0, -1, -1), (0, -1, 1), (0, 1, -1), (0, 1, 1))
+
+
+class TestCutPolytope:
+    @pytest.mark.parametrize(
+        "points, cut, expected",
+        [
+            # Of the 16 crossing points (segment midpoints) only the four
+            # midpoints of face edges are extreme.
+            (CUBE, Halfspace((1, 0, 0), 0), HALF_CUBE),
+            # Two non-extreme points: the origin, kept on the boundary, and
+            # (1/2, 0, 0), cut; the filter drops the origin and the crossing
+            # points of (1/2, 0, 0).
+            (CUBE + ((0, 0, 0), (Fraction(1, 2), 0, 0)), Halfspace((1, 0, 0), 0), HALF_CUBE),
+            # x + y + z <= 1 removes (1, 1, 1); every crossing point lies in
+            # the triangle spanned by its three neighbours.
+            (CUBE, Halfspace((1, 1, 1), 1), CUBE[:7]),
+        ],
+    )
+    def test_cube_cuts(self, points, cut, expected):
+        assert cut_polytope(VPolytope(3, points), cut).vertices == expected
 
 
 class TestDifferenceBody:
