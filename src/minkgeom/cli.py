@@ -11,6 +11,7 @@ size gates, degenerate bodies).  Errors are emitted as a JSON object with an
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -113,6 +114,7 @@ def _cmd_verify(args):
     return report.to_obj(), 0 if report.ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minkgeom",
@@ -169,8 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         obj, code = args.fn(args)
     except (GeometryError, ValueError, OSError, json.JSONDecodeError) as exc:

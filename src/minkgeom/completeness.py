@@ -142,13 +142,19 @@ def verify_reduction_witness(P: VPolytope, h: Halfspace, ball: PolytopalNorm) ->
     the body raises EmptyIntersection; one that flattens it raises
     DegenerateBody.
     """
+    return _verify_cut(P, h, ball, None)
+
+
+def _verify_cut(P, h, ball, before):
+    """verify_reduction_witness with thickness(P) given as before, or None to compute it."""
     if len(h.normal) != P.dim:
         raise DimensionMismatch(f"cut normal of length {len(h.normal)} in dimension {P.dim}")
     vals = [dot(h.normal, v) - h.rhs for v in P.vertices]
     removed = tuple(i for i, val in enumerate(vals) if val > 0)
     if len(removed) == len(P.vertices):
         raise EmptyIntersection("the cut removes every vertex")
-    before, _ = thickness(P, ball, "exact_lp")
+    if before is None:
+        before, _ = thickness(P, ball, "exact_lp")
     if not removed:
         return ReductionWitness(h, removed, before, before, False)
     Q = cut_polytope(P, h)
@@ -169,11 +175,12 @@ def search_reduction_witness(P: VPolytope, ball: PolytopalNorm):
     """
     body_facets = facets_of(P)
     scale = inball_scale(body_facets, ball)
+    before, _ = thickness(P, ball, "exact_lp")
     for f in body_facets.facets:
         neg = vneg(f.normal)
         cut = Halfspace(neg, scale * dual_support(neg, ball))
         try:
-            witness = verify_reduction_witness(P, cut, ball)
+            witness = _verify_cut(P, cut, ball, before)
         except (DegenerateBody, EmptyIntersection):
             continue
         if witness.valid:

@@ -4,7 +4,9 @@ lp_max maximizes a linear objective over {x : a_i . x <= b_i} with free
 variables.  The engine is the simplex method on the standard equality form
 (free variables split into positive parts, slack columns, artificial columns
 where needed) with Bland's anti-cycling rule and lowest-index tie-breaking,
-so every run terminates and is deterministic.
+so every run terminates and is deterministic.  The tableau is fraction-free:
+integer rows over one common denominator, pivoted by the elimination kernel
+of qlinalg, with ratios compared by cross-multiplication.
 
 Certificates are first-class: optimal outcomes carry dual multipliers
 recomputed from the final basis against the original data and checked to
@@ -14,15 +16,16 @@ outcomes an improving ray, checked the same way.
 
 lp_max_assume_bounded solves the same problem through its dual (far fewer
 tableau rows when constraints outnumber variables).  It is only a shortcut
-for problems already known to be feasible and bounded; it verifies the full
-certificate set and falls back to lp_max whenever anything fails to check.
+for problems already known to be feasible and bounded: it falls back to
+lp_max when the dual is not optimal, and verifies the full certificate set,
+raising RuntimeError when a check fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from .errors import DimensionMismatch
-from .qlinalg import dot, exact_div, solve_square
+from .qlinalg import _integer_row, _pivot_step, dot, exact_div, solve_square
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -61,7 +64,15 @@ class LpOutcome:
 
 
 class _Simplex:
-    """Standard-form tableau: max c . z  s.t.  rows * z = rhs, z >= 0."""
+    """Standard-form tableau: max c . z  s.t.  rows * z = rhs, z >= 0.
+
+    The tableau is fraction-free: tab holds integer rows over the common
+    denominator den > 0, the reduced-cost row last.  Each constraint row is
+    scaled to integers once; its crash-basis column, scaled by the same lam,
+    is set back to 1 and so stands for lam * z_j (scale[j] = lam).  Positive
+    column scalings keep every sign and scale a ratio test's ratios alike,
+    so Bland's pivots are those of the rational tableau.
+    """
 
     def __init__(self, rows, rhs, cvec):
         m = len(rows)
@@ -80,7 +91,6 @@ class _Simplex:
                 frhs.append(b)
                 self.flips.append(1)
         self.frows = frows
-        self.frhs = frhs
 
         # crash basis: reuse existing unit columns, artificials for the rest
         basis = [None] * m
@@ -106,33 +116,20 @@ class _Simplex:
         self.n_total = next_col
         self.basis = basis
 
+        self.scale = [1] * next_col
         tab = []
         for i in range(m):
-            row = frows[i] + [0] * (self.n_total - n_real) + [frhs[i]]
+            row, lam = _integer_row(frows[i] + [0] * (next_col - n_real) + [frhs[i]])
+            row[basis[i]] = 1
+            self.scale[basis[i]] = lam
             tab.append(row)
-        for col, i in self.art_row.items():
-            tab[i][col] = 1
+        tab.append([0] * (next_col + 1))
         self.tab = tab
+        self.den = 1
         self.pivot_budget = 20000 + 200 * (m + self.n_total)
 
-    def _pivot(self, r, c, red):
-        tab = self.tab
-        row = tab[r]
-        piv = row[c]
-        if piv != 1:
-            tab[r] = row = [exact_div(x, piv) for x in row]
-        nz = [j for j, x in enumerate(row) if x]
-        for i in range(self.m):
-            if i != r:
-                f = tab[i][c]
-                if f:
-                    ti = tab[i]
-                    for j in nz:
-                        ti[j] = ti[j] - f * row[j]
-        f = red[c]
-        if f:
-            for j in nz:
-                red[j] = red[j] - f * row[j]
+    def _pivot(self, r, c):
+        self.den = _pivot_step(self.tab, r, c, self.den)
         self.basis[r] = c
         self.pivot_budget -= 1
         if self.pivot_budget < 0:
@@ -141,74 +138,75 @@ class _Simplex:
     def run_phase(self, obj, barred):
         """Bland iterations for max obj . z from the current basis.
 
-        Returns (status, red, entering) where red[-1] is minus the objective
-        value; entering is the unbounded column when status is "unbounded".
+        Returns (status, entering), entering being the unbounded column when
+        status is "unbounded".  The reduced-cost row tab[m] is red_scale * den
+        times the reduced costs of the scaled variables, so its last entry is
+        minus red_scale * den times the objective value.
         """
         tab, basis, m = self.tab, self.basis, self.m
-        red = list(obj) + [0]
+        cost, self.red_scale = _integer_row([exact_div(c, s) for c, s in zip(obj, self.scale)])
+        red = [c * self.den for c in cost] + [0]
         for i in range(m):
-            cb = obj[basis[i]]
+            cb = cost[basis[i]]
             if cb:
-                ti = tab[i]
-                for j in range(self.n_total + 1):
-                    if ti[j]:
-                        red[j] -= cb * ti[j]
+                for j, x in enumerate(tab[i]):
+                    if x:
+                        red[j] -= cb * x
+        tab[m] = red
         while True:
-            enter = -1
-            for j in range(self.n_total):
-                if red[j] > 0 and j not in barred:
-                    enter = j
-                    break
+            red = tab[m]
+            enter = next((j for j in range(self.n_total) if red[j] > 0 and j not in barred), -1)
             if enter < 0:
-                return OPTIMAL, red, None
+                return OPTIMAL, None
             leave = -1
-            best = None
             for i in range(m):
                 a = tab[i][enter]
                 if a > 0:
-                    ratio = exact_div(tab[i][-1], a)
-                    if (
-                        leave < 0
-                        or ratio < best
-                        or (ratio == best and basis[i] < basis[leave])
-                    ):
+                    if leave < 0:
                         leave = i
-                        best = ratio
+                        continue
+                    # the ratio tab[i][-1] / a against the best, cross-multiplied
+                    cross = tab[i][-1] * tab[leave][enter] - tab[leave][-1] * a
+                    if cross < 0 or (cross == 0 and basis[i] < basis[leave]):
+                        leave = i
             if leave < 0:
-                return UNBOUNDED, red, enter
-            self._pivot(leave, enter, red)
+                return UNBOUNDED, enter
+            self._pivot(leave, enter)
 
     def solve(self, cvec):
-        """Two-phase run; returns (status, payload)."""
+        """Two-phase run; returns (status, payload) in the unscaled variables."""
         barred = set(self.art_row)
+        tab, basis, m, scale = self.tab, self.basis, self.m, self.scale
         if self.art_row:
             obj1 = [0] * self.n_real + [-1] * len(self.art_row)
-            status, red, _ = self.run_phase(obj1, frozenset())
+            status, _ = self.run_phase(obj1, frozenset())
             if status != OPTIMAL:
                 raise RuntimeError("phase 1 cannot be unbounded")
-            if -red[-1] != 0:
-                return INFEASIBLE, {"phase1_value": -red[-1], "phase1_obj": obj1}
+            if tab[m][-1]:
+                return INFEASIBLE, None
             # drive zero-level artificials out where a real pivot exists;
             # rows with none are inert (all-zero on real columns) and stay
-            for i in range(self.m):
-                if self.basis[i] in self.art_row:
-                    row = self.tab[i]
+            for i in range(m):
+                if basis[i] in self.art_row:
+                    row = tab[i]
                     col = next((j for j in range(self.n_real) if row[j]), None)
                     if col is not None:
-                        self._pivot(i, col, red)
+                        self._pivot(i, col)
         obj2 = list(cvec) + [0] * len(self.art_row)
-        status, red, enter = self.run_phase(obj2, barred)
+        status, enter = self.run_phase(obj2, barred)
+        den = self.den
         if status == UNBOUNDED:
             ray = {enter: 1}
-            for i in range(self.m):
-                x = self.tab[i][enter]
+            for i in range(m):
+                x = tab[i][enter]
                 if x:
-                    ray[self.basis[i]] = -x
+                    ray[basis[i]] = exact_div(-x * scale[enter], den * scale[basis[i]])
             return UNBOUNDED, {"ray": ray}
         zvals = {}
-        for i in range(self.m):
-            zvals[self.basis[i]] = self.tab[i][-1]
-        return OPTIMAL, {"value": -red[-1], "z": zvals, "phase2_obj": obj2}
+        for i in range(m):
+            zvals[basis[i]] = exact_div(tab[i][-1], den * scale[basis[i]])
+        value = exact_div(-tab[m][-1], den * self.red_scale)
+        return OPTIMAL, {"value": value, "z": zvals, "phase2_obj": obj2}
 
     def row_multipliers(self, obj_ext):
         """Multipliers y for the original rows, from the final basis.
@@ -302,8 +300,9 @@ def lp_max_assume_bounded(problem: LpProblem) -> LpOutcome:
     """lp_max for problems known feasible and bounded, via the dual.
 
     The dual has one row per primal dimension, which is much smaller when
-    constraints are plentiful.  Falls back to lp_max whenever the assumption
-    or any certificate check fails, so the outcome is trustworthy either way.
+    constraints are plentiful.  Falls back to lp_max when the assumption
+    fails (the dual is not optimal); a failed certificate check raises
+    RuntimeError, as in lp_max.
     """
     c = problem.objective
     cons = problem.constraints
@@ -326,10 +325,7 @@ def lp_max_assume_bounded(problem: LpProblem) -> LpOutcome:
     pi = engine.row_multipliers(payload["phase2_obj"])
     x = tuple(-p for p in pi)
     value = dot(c, x)
-    try:
-        if value != -payload["value"]:
-            raise RuntimeError("dual/primal value mismatch")
-        _certify_optimal(problem, x, lam, value)
-    except RuntimeError:
-        return lp_max(problem)
+    if value != -payload["value"]:
+        raise RuntimeError("dual/primal value mismatch")
+    _certify_optimal(problem, x, lam, value)
     return LpOutcome(status=OPTIMAL, optimum=value, point=x, dual_multipliers=lam)

@@ -136,8 +136,8 @@ def simplex_hrep(P: VPolytope) -> HPolytope:
             raise DegenerateBody("opposite vertex lies on the facet hyperplane")
         if val > beta:
             a, beta = vneg(a), -beta
-        ints, scale = primitive_normal(a)
-        facets.append(Halfspace(ints, beta * scale))
+        g = math.gcd(*a)
+        facets.append(Halfspace(tuple(x // g for x in a), exact_div(beta, g)))
     return HPolytope(d, tuple(facets))
 
 
@@ -211,45 +211,6 @@ def difference_body(P: VPolytope) -> VPolytope:
     return VPolytope(P.dim, tuple(pts))
 
 
-def _int_det(mat):
-    """Determinant of a square integer matrix by Bareiss elimination (destructive)."""
-    n = len(mat)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if mat[i][k] != 0), None)
-            if swap is None:
-                return 0
-            mat[k], mat[swap] = mat[swap], mat[k]
-            sign = -sign
-        pivot = mat[k][k]
-        for i in range(k + 1, n):
-            row_i, lead = mat[i], mat[k]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - factor * lead[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * mat[n - 1][n - 1]
-
-
-def _int_hyperplane(rows, dim):
-    """(normal, rhs) of the hyperplane through dim integer points, all zero if dependent.
-
-    rows are the points extended by a trailing 1; the coefficients come from
-    cofactor expansion of det([[x, 1], rows]) along its first row, which stays
-    in integer arithmetic throughout.
-    """
-    coefs = []
-    sign = 1
-    for j in range(dim + 1):
-        minor = [[row[c] for c in range(dim + 1) if c != j] for row in rows]
-        coefs.append(sign * _int_det(minor))
-        sign = -sign
-    return tuple(coefs[:dim]), -coefs[dim]
-
-
 def hull_facets(points, dim=None, limit=HULL_MAX_DIM) -> HPolytope:
     """Irredundant facets of conv(points), by exact hyperplane enumeration.
 
@@ -258,8 +219,8 @@ def hull_facets(points, dim=None, limit=HULL_MAX_DIM) -> HPolytope:
     point set fails to affinely span the hyperplane are supporting but not
     facets and are dropped.  Exponential in dim, hence the gate.
 
-    Rational coordinates are cleared to integers once up front so the inner
-    loop runs entirely on machine integers.
+    Rational coordinates are cleared to integers once up front; a candidate
+    is the integer kernel vector of the rows [p, 1] of its points.
     """
     pts = tuple(dict.fromkeys(tuple(p) for p in points))
     if not pts:
@@ -273,25 +234,18 @@ def hull_facets(points, dim=None, limit=HULL_MAX_DIM) -> HPolytope:
         raise DegenerateBody(
             f"points span an affine subspace of dimension {rank} < {dim}"
         )
-    scale = 1
-    for p in pts:
-        for x in p:
-            if isinstance(x, Fraction):
-                scale = math.lcm(scale, x.denominator)
+    scale = math.lcm(*(x.denominator for p in pts for x in p))
     ipts = [tuple(int(x * scale) for x in p) for p in pts]
-    rows_ext = [list(p) + [1] for p in ipts]
+    rows_ext = [p + (1,) for p in ipts]
     found = {}
     seen = set()
     for combo in combinations(range(len(ipts)), dim):
-        a, beta = _int_hyperplane([rows_ext[i] for i in combo], dim)
-        if not any(a):
-            continue
+        # a kernel vector (a, -beta) of the rows [p, 1] is a hyperplane a . x = beta
+        # through the points; dependent points give one of several such hyperplanes
+        a = kernel_vector([rows_ext[i] for i in combo], dim + 1)[:dim]
         g = math.gcd(*a)
         a = tuple(x // g for x in a)
-        beta, rem = divmod(beta, g)
-        if rem:
-            # beta/g is not integral; key on the exact rational value.
-            beta = Fraction(beta * g + rem, g)
+        beta = dot(a, ipts[combo[0]])
         if (a, beta) in seen:
             continue
         seen.add((a, beta))

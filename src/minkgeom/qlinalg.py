@@ -5,6 +5,12 @@ in arithmetic, comparison and hashing, and Fraction keeps itself in lowest
 terms with a positive denominator, so every value produced here is canonical
 by construction.  Vectors are tuples of scalars, matrices tuples of row
 tuples.  No floats are accepted anywhere.
+
+All elimination runs on one fraction-free Gauss-Jordan kernel, _pivot_step:
+integer rows over one common denominator, with exact integer division by the
+previous pivot.  gauss_rank, solve_square and kernel_vector scale each row
+to integers and call it column by column; the simplex tableau of lp calls it
+once per pivot; hull_facets takes its hyperplanes from kernel_vector.
 """
 
 from __future__ import annotations
@@ -92,38 +98,66 @@ def unit_vec(dim, index):
     return tuple(1 if i == index else 0 for i in range(dim))
 
 
-def _forward_eliminate(rows):
-    """Row-reduce in place (list of lists); returns list of pivot column indices."""
+def _integer_row(row):
+    """(ints, lcm): the row times the positive lcm of its denominators, in ints."""
+    lcm = 1
+    for x in row:
+        if x.denominator != 1:
+            lcm = math.lcm(lcm, x.denominator)
+    return [x.numerator * (lcm // x.denominator) for x in row], lcm
+
+
+def _pivot_step(rows, r, c, den):
+    """One fraction-free Gauss-Jordan step in place; returns the new denominator.
+
+    rows are integer rows over the common denominator den > 0.  Row r is
+    negated if its entry in column c is negative, which leaves the reduced
+    rows the same; with y = rows[r] and p = y[c] > 0, every other row becomes
+    (x * p - f * y) // den, f being the row's entry in column c, so p is the
+    new common denominator and column c is p times a unit vector.  The
+    division is exact: every entry stays a minor of the starting integer
+    matrix, up to sign (Edmonds 1967; Bareiss 1968).
+    """
+    lead = rows[r]
+    p = lead[c]
+    if p < 0:
+        rows[r] = lead = [-y for y in lead]
+        p = -p
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            if f:
+                rows[i] = [(x * p - f * y) // den for x, y in zip(row, lead)]
+            elif p != den:
+                rows[i] = [x * p // den for x in row]
+    return p
+
+
+def _forward_eliminate(mat):
+    """Fraction-free Gauss-Jordan elimination of mat; returns (rows, pivot columns, den).
+
+    Each row is first scaled to integers.  Afterwards rows / den is the
+    reduced row echelon form, den > 0: row k has den in the k-th pivot column.
+    """
+    rows = [_integer_row(row)[0] for row in mat]
     pivots = []
-    r = 0
+    den = 1
     ncols = len(rows[0]) if rows else 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
-        if piv != 1:
-            rows[r] = [exact_div(x, piv) for x in rows[r]]
-        lead = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], lead)]
+        den = _pivot_step(rows, r, c, den)
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if len(pivots) == len(rows):
             break
-    return pivots
+    return rows, pivots, den
 
 
 def gauss_rank(mat) -> int:
-    rows = [list(row) for row in mat]
-    return len(_forward_eliminate(rows))
+    return len(_forward_eliminate(mat)[1])
 
 
 def affine_rank(points) -> int:
@@ -145,32 +179,31 @@ def solve_square(mat, rhs):
         return ()
     if any(len(row) != n for row in mat) or len(rhs) != n:
         raise DimensionMismatch("solve_square expects an n x n system")
-    rows = [list(row) + [b] for row, b in zip(mat, rhs)]
-    pivots = _forward_eliminate(rows)
+    rows, pivots, den = _forward_eliminate([list(row) + [b] for row, b in zip(mat, rhs)])
     if pivots != list(range(n)):
         return None
-    return tuple(rows[i][n] for i in range(n))
+    return tuple(exact_div(rows[i][n], den) for i in range(n))
 
 
 def kernel_vector(mat, ncols=None):
-    """One nonzero vector in the kernel of mat, or None if the columns are independent.
+    """One nonzero integer vector in the kernel of mat, or None if the columns are independent.
 
-    Deterministic: the free variable chosen is the lowest-index non-pivot column.
+    Deterministic: the free variable chosen is the lowest-index non-pivot
+    column, and its coordinate is positive.
     """
-    rows = [list(row) for row in mat]
     if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    if not rows:
+        ncols = len(mat[0]) if mat else 0
+    if not mat:
         if ncols == 0:
             return None
         return unit_vec(ncols, 0)
-    pivots = _forward_eliminate(rows)
+    rows, pivots, den = _forward_eliminate(mat)
     pivot_set = set(pivots)
     free = next((c for c in range(ncols) if c not in pivot_set), None)
     if free is None:
         return None
     out = [0] * ncols
-    out[free] = 1
+    out[free] = den
     for r, c in enumerate(pivots):
         out[c] = -rows[r][free]
     return tuple(out)
@@ -185,11 +218,7 @@ def primitive_normal(vec):
     """
     if not any(vec):
         raise DimensionMismatch("cannot normalize the zero vector")
-    denom_lcm = 1
-    for x in vec:
-        d = x.denominator if isinstance(x, Fraction) else 1
-        denom_lcm = math.lcm(denom_lcm, d)
-    ints = [int(x * denom_lcm) for x in vec]
+    ints, denom_lcm = _integer_row(vec)
     g = math.gcd(*ints)
     scale = Fraction(denom_lcm, g)
     result = tuple(v // g for v in ints)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: JSON output, exit codes, error objects."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,9 @@ def cube_file(tmp_path, cube3):
     path = tmp_path / "cube.json"
     path.write_text(json.dumps(body_to_obj(cube3)))
     return str(path)
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, argv):
@@ -163,6 +167,16 @@ class TestVerify:
         code, obj = run(capsys, ["verify", "--prop", "2", "--certificate"])
         assert code == 0
         assert obj["mode"] == "certificate"
+
+    @pytest.mark.parametrize(
+        "name, flags",
+        [("claims3", ["--claims3"]), ("prop2", ["--prop", "2"]),
+         ("prop3", ["--prop", "3"]), ("prop4", ["--prop", "4"])],
+    )
+    def test_report_is_byte_identical_to_golden(self, capsys, name, flags):
+        # the committed JSON pins every number and every certificate string
+        assert main(["verify", *flags]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"verify_{name}.json").read_text(encoding="utf-8")
 
     def test_flags_are_exclusive(self, capsys):
         with pytest.raises(SystemExit):

@@ -17,6 +17,7 @@ from minkgeom.lp import (
     UNBOUNDED,
     LpOutcome,
     LpProblem,
+    _Simplex,
     lp_max,
     lp_max_assume_bounded,
 )
@@ -46,6 +47,16 @@ def box_constraints(dim, bound):
         cons.append((e, bound))
         cons.append((tuple(-x for x in e), bound))
     return cons
+
+
+def with_denominator(rng, a, b):
+    """The row (a, b), each entry moved up by less than 1 over one denominator of up to 40 bits.
+
+    Witness-search LPs carry such fractions; the solver scales each row to
+    integers, which integer rows never exercise.
+    """
+    q = rng.randint(2, 2**40)
+    return tuple(x + Fraction(rng.randrange(q), q) for x in a), b + Fraction(rng.randrange(q), q)
 
 
 def check_optimal_certificate(problem, out):
@@ -149,8 +160,11 @@ class TestNamedProblems:
 
 
 class TestOracleComparison:
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_random_bounded_problems(self, dim):
+    @pytest.mark.parametrize(
+        "dim, rational", [(2, False), (3, False), (2, True), (3, True)],
+        ids=["2", "3", "2-rational", "3-rational"],
+    )
+    def test_random_bounded_problems(self, dim, rational):
         rng = random.Random(20260819 + dim)
         box = box_constraints(dim, 5)
         feasible_seen = 0
@@ -161,7 +175,10 @@ class TestOracleComparison:
                 a = tuple(rng.randint(-3, 3) for _ in range(dim))
                 if not any(a):
                     continue
-                cons.append((a, rng.randint(-3, 3)))
+                b = rng.randint(-3, 3)
+                if rational and rng.random() < 0.5:
+                    a, b = with_denominator(rng, a, b)
+                cons.append((a, b))
             obj = tuple(rng.randint(-3, 3) for _ in range(dim))
             problem = LpProblem(obj, tuple(cons))
             expected = brute_force_max(obj, cons, dim)
@@ -182,8 +199,11 @@ class TestOracleComparison:
         assert feasible_seen >= 20
         assert infeasible_seen >= 3
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_fast_path_matches_general_path(self, dim):
+    @pytest.mark.parametrize(
+        "dim, rational", [(2, False), (3, False), (2, True), (3, True)],
+        ids=["2", "3", "2-rational", "3-rational"],
+    )
+    def test_fast_path_matches_general_path(self, dim, rational):
         rng = random.Random(977 + dim)
         box = box_constraints(dim, 6)
         checked = 0
@@ -193,7 +213,10 @@ class TestOracleComparison:
                 a = tuple(rng.randint(-2, 2) for _ in range(dim))
                 if not any(a):
                     continue
-                cons.append((a, rng.randint(0, 5)))
+                b = rng.randint(0, 5)
+                if rational and rng.random() < 0.5:
+                    a, b = with_denominator(rng, a, b)
+                cons.append((a, b))
             obj = tuple(rng.randint(-4, 4) for _ in range(dim))
             problem = LpProblem(obj, tuple(cons))
             expected = brute_force_max(obj, cons, dim)
@@ -214,6 +237,22 @@ class TestOracleComparison:
     def test_fast_path_falls_back_on_unbounded(self):
         out = lp_max_assume_bounded(LpProblem((1, 1), (((-1, 0), 0), ((0, -1), 0))))
         assert out.status == UNBOUNDED
+
+    def test_failed_dual_certificate_raises(self, monkeypatch):
+        # Corrupt the multipliers of the first solve only, the dual route's:
+        # a fallback to lp_max would hide the failure behind a correct answer.
+        original = _Simplex.row_multipliers
+        calls = []
+
+        def corrupted(engine, obj_ext):
+            calls.append(obj_ext)
+            pi = original(engine, obj_ext)
+            return tuple(p + 1 for p in pi) if len(calls) == 1 else pi
+
+        monkeypatch.setattr(_Simplex, "row_multipliers", corrupted)
+        with pytest.raises(RuntimeError, match="mismatch|certificate"):
+            lp_max_assume_bounded(LpProblem((1, 2), tuple(box_constraints(2, 3))))
+        assert len(calls) == 1
 
 
 class TestProblemValidation:

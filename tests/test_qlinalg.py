@@ -167,9 +167,11 @@ class TestRankAndSolve:
             max_size=3,
         ),
         st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+        st.lists(st.integers(1, 12), min_size=3, max_size=3),
     )
-    def test_solve_square_property(self, mat, rhs):
-        mat = tuple(tuple(r) for r in mat)
+    def test_solve_square_property(self, mat, rhs, dens):
+        # row i of the matrix over the denominator dens[i]
+        mat = tuple(tuple(Fraction(x, q) for x in r) for r, q in zip(mat, dens))
         x = solve_square(mat, tuple(rhs))
         if x is None:
             assert gauss_rank(mat) < 3
