@@ -4,8 +4,10 @@ Exit status 0 means the requested computation succeeded and every pass/fail
 item in the produced report passed; 1 means the report ran but something
 failed its check (an incomplete body, an invalid witness, a failed
 verification item); 2 means the computation itself could not run (bad input,
-size gates, degenerate bodies).  Errors are emitted as a JSON object with an
-"error" field so scripts never have to parse prose.
+size gates, degenerate bodies); 3 means an internal certificate or invariant
+check failed (CertificateError), a bug rather than an answer.  Errors are
+emitted as a JSON object with an "error" field so scripts never have to parse
+prose.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 
 from .completeness import is_complete, search_reduction_witness, verify_reduction_witness
 from .constructions import tetrahedron_k, verify_claims_dim3, verify_proposition, walsh_simplex
-from .errors import GeometryError
+from .errors import CertificateError, GeometryError
 from .metrics import THICKNESS_MODES, metrics_report
 from .norms import custom_ball, l1_ball, linf_ball
 from .polytope import VPolytope, body_from_obj, body_to_obj, halfspace_from_obj
@@ -174,9 +176,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         obj, code = args.fn(args)
-    except (GeometryError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (GeometryError, ValueError, OSError, json.JSONDecodeError, CertificateError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, getattr(args, "output", None))
-        return 2
+        return 3 if isinstance(exc, CertificateError) else 2
     _emit(obj, args.output)
     return code
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateBody, DimensionMismatch, EmptyIntersection
+from .errors import CertificateError, DegenerateBody, DimensionMismatch, EmptyIntersection
 from .lp import OPTIMAL, LpProblem, lp_max_assume_bounded
 from .metrics import diameter, inball_scale, thickness
 from .norms import PolytopalNorm, dual_support, norm
@@ -85,14 +85,14 @@ def is_complete(P: VPolytope, ball: PolytopalNorm) -> CompletenessReport:
     hull = ball_hull(P, diam, ball)
     for v in P.vertices:
         if not contains(hull, v):
-            raise RuntimeError("body escapes its own ball hull")
+            raise CertificateError("body escapes its own ball hull")
     body_facets = facets_of(P)
     cons = tuple((f.normal, f.rhs) for f in hull.facets)
     violation = None
     for f in body_facets.facets:
         out = lp_max_assume_bounded(LpProblem(f.normal, cons))
         if out.status != OPTIMAL:
-            raise RuntimeError("ball hull support LP must be optimal")
+            raise CertificateError("ball hull support LP must be optimal")
         if out.optimum > f.rhs:
             violation = {"facet": f, "optimum": out.optimum, "point": out.point}
             break

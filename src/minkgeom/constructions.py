@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .completeness import is_complete, verify_reduction_witness
-from .errors import DegenerateBody, SizeLimitExceeded
+from .errors import CertificateError, DegenerateBody, SizeLimitExceeded
 from .metrics import diameter, inball_scale, thickness, width
 from .norms import l1_ball, norm, point_hyperplane_distance
 from .polytope import Halfspace, VPolytope, is_subset, simplex_hrep
@@ -63,14 +63,14 @@ def walsh_simplex(n: int, limit: int = WALSH_SIMPLEX_MAX_N) -> VPolytope:
         raise SizeLimitExceeded(f"walsh_simplex gated to n <= {limit}")
     mat = walsh_matrix(n)
     if not is_hadamard(mat):
-        raise RuntimeError("Walsh matrix lost the Hadamard identity")
+        raise CertificateError("Walsh matrix lost the Hadamard identity")
     verts = tuple(row[1:] for row in mat)
     dim = 2**n - 1
     if affine_rank(verts) != dim:
         raise DegenerateBody("Walsh simplex vertices are affinely dependent")
     total = tuple(sum(col) for col in zip(*verts))
     if any(total):
-        raise RuntimeError("Walsh simplex vertices must sum to zero")
+        raise CertificateError("Walsh simplex vertices must sum to zero")
     return VPolytope(dim, verts)
 
 

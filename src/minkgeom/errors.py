@@ -35,3 +35,11 @@ class OriginNotInterior(GeometryError):
     def __init__(self, message, facet=None):
         super().__init__(message)
         self.facet = facet
+
+
+class CertificateError(RuntimeError):
+    """An internal certificate or invariant check failed: a bug, not an answer.
+
+    Deliberately not a GeometryError, so it can never pass for bad input or
+    for a mathematical "no".
+    """

@@ -18,13 +18,13 @@ lp_max_assume_bounded solves the same problem through its dual (far fewer
 tableau rows when constraints outnumber variables).  It is only a shortcut
 for problems already known to be feasible and bounded: it falls back to
 lp_max when the dual is not optimal, and verifies the full certificate set,
-raising RuntimeError when a check fails.
+raising CertificateError when a check fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .errors import DimensionMismatch
+from .errors import CertificateError, DimensionMismatch
 from .qlinalg import _integer_row, _pivot_step, dot, exact_div, solve_square
 
 OPTIMAL = "optimal"
@@ -133,7 +133,7 @@ class _Simplex:
         self.basis[r] = c
         self.pivot_budget -= 1
         if self.pivot_budget < 0:
-            raise RuntimeError("simplex pivot budget exhausted (cycling?)")
+            raise CertificateError("simplex pivot budget exhausted (cycling?)")
 
     def run_phase(self, obj, barred):
         """Bland iterations for max obj . z from the current basis.
@@ -181,7 +181,7 @@ class _Simplex:
             obj1 = [0] * self.n_real + [-1] * len(self.art_row)
             status, _ = self.run_phase(obj1, frozenset())
             if status != OPTIMAL:
-                raise RuntimeError("phase 1 cannot be unbounded")
+                raise CertificateError("phase 1 cannot be unbounded")
             if tab[m][-1]:
                 return INFEASIBLE, None
             # drive zero-level artificials out where a real pivot exists;
@@ -223,7 +223,7 @@ class _Simplex:
         rhs = [obj_ext[j] for j in self.basis]
         pi = solve_square(cols, rhs)
         if pi is None:
-            raise RuntimeError("basis matrix is singular")
+            raise CertificateError("basis matrix is singular")
         return tuple(f * p for f, p in zip(self.flips, pi))
 
 
@@ -231,17 +231,17 @@ def _certify_optimal(problem, x, y, value):
     c = problem.objective
     cons = problem.constraints
     if dot(c, x) != value:
-        raise RuntimeError("certificate check failed: objective value")
+        raise CertificateError("certificate check failed: objective value")
     for a, b in cons:
         if dot(a, x) > b:
-            raise RuntimeError("certificate check failed: primal feasibility")
+            raise CertificateError("certificate check failed: primal feasibility")
     if len(y) != len(cons) or any(v < 0 for v in y):
-        raise RuntimeError("certificate check failed: dual sign")
+        raise CertificateError("certificate check failed: dual sign")
     for k in range(len(c)):
         if sum(y[i] * cons[i][0][k] for i in range(len(cons))) != c[k]:
-            raise RuntimeError("certificate check failed: y^T A = c")
+            raise CertificateError("certificate check failed: y^T A = c")
     if sum(y[i] * cons[i][1] for i in range(len(cons))) != value:
-        raise RuntimeError("certificate check failed: y^T b = optimum")
+        raise CertificateError("certificate check failed: y^T b = optimum")
 
 
 def lp_max(problem: LpProblem) -> LpOutcome:
@@ -268,22 +268,22 @@ def lp_max(problem: LpProblem) -> LpOutcome:
         obj1 = [0] * engine.n_real + [-1] * len(engine.art_row)
         y = engine.row_multipliers(obj1)
         if any(v < 0 for v in y):
-            raise RuntimeError("certificate check failed: Farkas sign")
+            raise CertificateError("certificate check failed: Farkas sign")
         for k in range(d):
             if sum(y[i] * cons[i][0][k] for i in range(m)) != 0:
-                raise RuntimeError("certificate check failed: Farkas y^T A = 0")
+                raise CertificateError("certificate check failed: Farkas y^T A = 0")
         if sum(y[i] * cons[i][1] for i in range(m)) >= 0:
-            raise RuntimeError("certificate check failed: Farkas y^T b < 0")
+            raise CertificateError("certificate check failed: Farkas y^T b < 0")
         return LpOutcome(status=INFEASIBLE, farkas=y)
 
     if status == UNBOUNDED:
         zray = payload["ray"]
         r = tuple(zray.get(k, 0) - zray.get(d + k, 0) for k in range(d))
         if dot(c, r) <= 0:
-            raise RuntimeError("certificate check failed: ray improves")
+            raise CertificateError("certificate check failed: ray improves")
         for a, _ in cons:
             if dot(a, r) > 0:
-                raise RuntimeError("certificate check failed: ray recession")
+                raise CertificateError("certificate check failed: ray recession")
         return LpOutcome(status=UNBOUNDED, ray=r)
 
     z = payload["z"]
@@ -291,7 +291,7 @@ def lp_max(problem: LpProblem) -> LpOutcome:
     y = engine.row_multipliers(payload["phase2_obj"])
     value = dot(c, x)
     if value != payload["value"]:
-        raise RuntimeError("certificate check failed: tableau value")
+        raise CertificateError("certificate check failed: tableau value")
     _certify_optimal(problem, x, y, value)
     return LpOutcome(status=OPTIMAL, optimum=value, point=x, dual_multipliers=y)
 
@@ -302,7 +302,7 @@ def lp_max_assume_bounded(problem: LpProblem) -> LpOutcome:
     The dual has one row per primal dimension, which is much smaller when
     constraints are plentiful.  Falls back to lp_max when the assumption
     fails (the dual is not optimal); a failed certificate check raises
-    RuntimeError, as in lp_max.
+    CertificateError, as in lp_max.
     """
     c = problem.objective
     cons = problem.constraints
@@ -326,6 +326,6 @@ def lp_max_assume_bounded(problem: LpProblem) -> LpOutcome:
     x = tuple(-p for p in pi)
     value = dot(c, x)
     if value != -payload["value"]:
-        raise RuntimeError("dual/primal value mismatch")
+        raise CertificateError("dual/primal value mismatch")
     _certify_optimal(problem, x, lam, value)
     return LpOutcome(status=OPTIMAL, optimum=value, point=x, dual_multipliers=lam)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    CertificateError,
     DegenerateBody,
     DimensionMismatch,
     OriginNotInterior,
@@ -119,7 +120,7 @@ def _thickness_exact_lp(P: VPolytope, ball: PolytopalNorm):
         cons = vertex_rows + [(w + (0, 0), 1), (vneg(w) + (0, 0), -1)]
         out = lp_max_assume_bounded(LpProblem(objective, tuple(cons)))
         if out.status != OPTIMAL:
-            raise RuntimeError("thickness LP must be optimal for a full-dim body")
+            raise CertificateError("thickness LP must be optimal for a full-dim body")
         if best is None or -out.optimum < best:
             best = -out.optimum
             best_dir = out.point[:d]
@@ -131,8 +132,8 @@ def _thickness_difference_body(P: VPolytope, ball: PolytopalNorm):
 
     t times the ball lies inside the facet a . x <= b exactly when
     t * h_B(a) <= b, so the inradius is the least b / h_B(a) over the facets;
-    the witness direction is that facet's normal.  Facet enumeration makes
-    this the slow mode, kept as the independent check of exact_lp.
+    the witness direction is that facet's normal.  It is kept as the
+    independent check of exact_lp, sharing none of its LPs.
     """
     D = difference_body(P)
     H = hull_facets(D.vertices, P.dim)
@@ -163,7 +164,7 @@ def thickness(P: VPolytope, ball: PolytopalNorm, mode: str = "exact_lp"):
     else:
         raise ValueError(f"unknown thickness mode {mode!r}")
     if width(P, direction, ball) != value:
-        raise RuntimeError("thickness witness fails to reproduce the value")
+        raise CertificateError("thickness witness fails to reproduce the value")
     return value, direction
 
 

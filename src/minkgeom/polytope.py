@@ -3,8 +3,9 @@
 Two representations: VPolytope (a list of points whose convex hull is the
 body) and HPolytope (an intersection of halfspaces a . x <= b with primitive
 integer normals).  Conversions are explicit and exact: simplex_hrep for
-simplices, hull_facets as the gated small-dimension facet enumeration for
-anything else.
+simplices, and for anything else hull_facets, an integer double description
+whose every facet is checked before it is returned.  Its gate bounds the
+dimension, not the number of facets or of intermediate rays.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import product
 
 from .errors import (
+    CertificateError,
     DegenerateBody,
     DimensionMismatch,
     EmptyIntersection,
@@ -23,6 +25,7 @@ from .errors import (
 )
 from .lp import OPTIMAL, UNBOUNDED, LpProblem, lp_max, lp_max_assume_bounded
 from .qlinalg import (
+    _forward_eliminate,
     affine_rank,
     dot,
     exact_div,
@@ -212,15 +215,15 @@ def difference_body(P: VPolytope) -> VPolytope:
 
 
 def hull_facets(points, dim=None, limit=HULL_MAX_DIM) -> HPolytope:
-    """Irredundant facets of conv(points), by exact hyperplane enumeration.
+    """Irredundant facets of conv(points), by exact double description.
 
-    Every dim-subset of the deduplicated points that spans a hyperplane with
-    all points on one side contributes a candidate; candidates whose tight
-    point set fails to affinely span the hyperplane are supporting but not
-    facets and are dropped.  Exponential in dim, hence the gate.
-
-    Rational coordinates are cleared to integers once up front; a candidate
-    is the integer kernel vector of the rows [p, 1] of its points.
+    The facets a . x <= beta are the extreme rays (a, beta) of the cone of
+    valid inequalities (Motzkin et al. 1953; Fukuda & Prodon 1996).  From a
+    simplex's facets, each further point keeps the rays it satisfies and joins
+    each adjacent pair it separates.  Rays are integer vectors reduced by their
+    gcd; two are adjacent when their common tight set (a bitmask) holds at
+    least dim - 1 points and lies in no third ray's.  Each facet is checked at
+    the end; a failure raises CertificateError.  The gate bounds only dim.
     """
     pts = tuple(dict.fromkeys(tuple(p) for p in points))
     if not pts:
@@ -229,48 +232,47 @@ def hull_facets(points, dim=None, limit=HULL_MAX_DIM) -> HPolytope:
         dim = len(pts[0])
     if dim > limit:
         raise SizeLimitExceeded(f"facet enumeration gated to dim <= {limit}, got {dim}")
-    rank = affine_rank(pts)
-    if rank != dim:
-        raise DegenerateBody(
-            f"points span an affine subspace of dimension {rank} < {dim}"
-        )
     scale = math.lcm(*(x.denominator for p in pts for x in p))
     ipts = [tuple(int(x * scale) for x in p) for p in pts]
-    rows_ext = [p + (1,) for p in ipts]
-    found = {}
-    seen = set()
-    for combo in combinations(range(len(ipts)), dim):
-        # a kernel vector (a, -beta) of the rows [p, 1] is a hyperplane a . x = beta
-        # through the points; dependent points give one of several such hyperplanes
-        a = kernel_vector([rows_ext[i] for i in combo], dim + 1)[:dim]
-        g = math.gcd(*a)
-        a = tuple(x // g for x in a)
-        beta = dot(a, ipts[combo[0]])
-        if (a, beta) in seen:
+    # the pivot columns of the differences, taken as columns, are the first affine basis
+    diffs = zip(*(vsub(p, ipts[0]) for p in ipts[1:]))
+    basis = [0] + [c + 1 for c in _forward_eliminate([list(c) for c in diffs])[1]]
+    if len(basis) != dim + 1:
+        raise DegenerateBody(
+            f"points span an affine subspace of dimension {len(basis) - 1} < {dim}"
+        )
+    rows = [vneg(p) + (1,) for p in ipts]  # a ray (a, beta) has slack ray . (-p, 1) at p
+    rays = []  # (ray, bitmask of the points it is tight at)
+    for j in basis:
+        # the facet through the other basis points, oriented to keep point j
+        r = kernel_vector([rows[i] for i in basis if i != j], dim + 1)
+        g = math.gcd(*r) if dot(r, rows[j]) > 0 else -math.gcd(*r)
+        rays.append((tuple(x // g for x in r), sum(1 << i for i in basis if i != j)))
+    for i, row in enumerate(rows):
+        if i in basis:
             continue
-        seen.add((a, beta))
-        seen.add((vneg(a), -beta))
-        hi = lo = False
-        for p in ipts:
-            val = dot(a, p)
-            if val > beta:
-                hi = True
-                if lo:
-                    break
-            elif val < beta:
-                lo = True
-                if hi:
-                    break
-        if hi and lo:
-            continue
-        if hi:
-            a, beta = vneg(a), -beta
-        tight = [pts[i] for i, p in enumerate(ipts) if dot(a, p) == beta]
-        if affine_rank(tight) != dim - 1:
-            continue
-        found[(a, beta)] = Halfspace(a, exact_div(beta, scale))
-    facets = tuple(found[k] for k in sorted(found, key=lambda k: (k[0], k[1])))
-    return HPolytope(dim, facets)
+        slacks = [(r, z, dot(r, row)) for r, z in rays]
+        rays = [(r, z | 1 << i if s == 0 else z) for r, z, s in slacks if s >= 0]
+        pos = [t for t in slacks if t[2] > 0]
+        neg = [t for t in slacks if t[2] < 0]
+        for (rp, zp, sp), (rn, zn, sn) in product(pos, neg):
+            common = zp & zn
+            if common.bit_count() >= dim - 1 and not any(
+                (z & common) == common and z != zp and z != zn for _, z, _ in slacks
+            ):
+                r = tuple(sp * x - sn * y for x, y in zip(rn, rp))
+                g = math.gcd(*r)
+                rays.append((tuple(x // g for x in r), common | 1 << i))
+    facets = []
+    for r, _ in rays:
+        a, beta = r[:dim], r[dim]
+        tight = [p for p, q in zip(pts, ipts) if dot(a, q) == beta]
+        if len(tight) < dim or affine_rank(tight) != dim - 1 or any(
+            dot(a, q) > beta for q in ipts
+        ):
+            raise CertificateError(f"double description gave a non-facet {r}")
+        facets.append(Halfspace(a, exact_div(beta, scale)))
+    return HPolytope(dim, tuple(sorted(facets, key=lambda h: (h.normal, h.rhs))))
 
 
 def facets_of(P: VPolytope, limit=HULL_MAX_DIM) -> HPolytope:
@@ -298,7 +300,7 @@ def extreme_points(points, dim) -> tuple:
         cons.append((tuple(p) + (-1,), 1))
         res = lp_max_assume_bounded(LpProblem(tuple(p) + (-1,), tuple(cons)))
         if res.status != OPTIMAL:
-            raise RuntimeError("separation LP must be optimal")
+            raise CertificateError("separation LP must be optimal")
         if res.optimum > 0:
             out.append(p)
     return tuple(out)

@@ -10,7 +10,8 @@ All elimination runs on one fraction-free Gauss-Jordan kernel, _pivot_step:
 integer rows over one common denominator, with exact integer division by the
 previous pivot.  gauss_rank, solve_square and kernel_vector scale each row
 to integers and call it column by column; the simplex tableau of lp calls it
-once per pivot; hull_facets takes its hyperplanes from kernel_vector.
+once per pivot; hull_facets takes the facets of its starting simplex from
+kernel_vector and its affine basis from _forward_eliminate.
 """
 
 from __future__ import annotations

@@ -232,3 +232,12 @@ class TestErrors:
         code, obj = run(capsys, ["metrics", "--body", str(body_file), "--ball", ball])
         assert code == 2
         assert obj["error"]["type"] == "ValueError"
+
+    def test_failed_internal_check_exits_three(self, capsys, monkeypatch, k_file):
+        # the facet check that ends hull_facets now sees every tight set as flat
+        monkeypatch.setattr("minkgeom.polytope.affine_rank", lambda points: -1)
+        argv = ["metrics", "--body", k_file, "--ball", "l1", "--mode", "difference_body"]
+        code, obj = run(capsys, argv)
+        assert code == 3
+        assert obj["error"]["type"] == "CertificateError"
+        assert "non-facet" in obj["error"]["message"]

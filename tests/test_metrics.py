@@ -170,8 +170,8 @@ class TestThickness:
         )
         bodies = [random_body(rng, d, d + 1 + extra) for d in (3, 4) for extra in (0, 1, 2)]
         cases += [(P, ball) for P in bodies[:3] for ball in (ball3, linf_ball(3), prism)]
-        # Facet enumeration of P - P grows fast in dimension 4: one ball per body.
-        cases += [(bodies[3], linf_ball(4)), (bodies[4], l1_ball(4)), (bodies[5], linf_ball(4))]
+        cases += [(P, ball) for P in bodies[3:] for ball in (l1_ball(4), linf_ball(4))]
+        cases.append((random_body(rng, 5, 7), linf_ball(5)))
         for P, ball in cases:
             t_lp, u_lp = thickness(P, ball, "exact_lp")
             t_db, u_db = thickness(P, ball, "difference_body")

@@ -1,6 +1,8 @@
 """Polytope representations: supports, facet enumeration, cuts, JSON forms."""
 
+import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -31,9 +33,66 @@ from minkgeom.polytope import (
     simplex_hrep,
     support,
 )
-from minkgeom.qlinalg import dot
+from minkgeom.qlinalg import affine_rank, dot, kernel_vector, vneg
 
-from conftest import random_simplex
+from conftest import random_body, random_simplex
+
+
+def brute_force_facets(points, dim):
+    """Facets of conv(points) from every dim-subset of the points, sorted.
+
+    Each subset spans a candidate hyperplane a . x = beta; it is a facet when
+    every point lies on one side and the tight points span the hyperplane.
+    """
+    pts = list(dict.fromkeys(tuple(p) for p in points))
+    found = set()
+    for combo in combinations(pts, dim):
+        kv = kernel_vector([p + (1,) for p in combo], dim + 1)
+        a, beta = kv[:dim], -kv[dim]
+        vals = [dot(a, p) for p in pts]
+        if max(vals) > beta:
+            if min(vals) < beta:
+                continue
+            a, beta = vneg(a), -beta
+        tight = [p for p in pts if dot(a, p) == beta]
+        if affine_rank(tight) == dim - 1:
+            found.add(halfspace(a, beta))
+    return tuple(sorted(found, key=lambda h: (h.normal, h.rhs)))
+
+
+def _oracle_cases():
+    rng = random.Random(20)
+    cases = []
+
+    def add(name, dim, points):
+        cases.append(pytest.param(dim, tuple(points), id=name))
+
+    for d in (2, 3, 4):
+        for k in range(3):
+            P = random_body(rng, d, d + 1 + k)
+            centroid = tuple(Fraction(sum(c), len(P.vertices)) for c in zip(*P.vertices))
+            # duplicates and an interior point, then the same body in fractions
+            add(f"int-d{d}-{k}", d, P.vertices + P.vertices[:2] + (centroid,))
+            add(f"rational-d{d}-{k}", d, (
+                tuple(Fraction(x, rng.randint(1, 6)) for x in p) for p in P.vertices
+            ))
+            if d + k <= 4:
+                add(f"difference-d{d}-{k}", d, difference_body(P).vertices)
+        add(f"cube-d{d}", d, tuple(product((-1, 1), repeat=d)) + ((0,) * d,))
+        # a prism over a random simplex: its side facets are quadrilaterals
+        base = random_simplex(rng, d - 1).vertices
+        add(f"prism-d{d}", d, (p + (z,) for p in base for z in (-2, 3)))
+    faces = (tuple(s if i == j else 0 for i in range(3)) for j in range(3) for s in (-1, 1))
+    add("cube-d3-face-centres", 3, tuple(product((-1, 1), repeat=3)) + tuple(faces))
+    K = VPolytope(3, ((-1, -1, -1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)))
+    add("cuboctahedron", 3, difference_body(K).vertices)
+    # points of {0, 1, 2}^4 lie three to a line, so dim - 1 common tight points
+    # need not span a ridge; on these samples a hull that skips the third-ray
+    # adjacency test returns extra facets
+    grid = list(product(range(3), repeat=4))
+    for seed in (0, 1, 5, 20):
+        add(f"grid-d4-{seed}", 4, random.Random(seed).sample(grid, 14))
+    return cases
 
 
 class TestVPolytope:
@@ -291,6 +350,18 @@ class TestHullFacets:
         pts = pts + ((0,) * 9,)
         with pytest.raises(SizeLimitExceeded):
             hull_facets(pts, 9)
+
+    def test_eight_cube_at_the_gate(self):
+        H = hull_facets(tuple(product((-1, 1), repeat=8)), 8)
+        units = [tuple(1 if i == j else 0 for j in range(8)) for i in range(8)]
+        assert {(f.normal, f.rhs) for f in H.facets} == {
+            (tuple(s * x for x in u), 1) for u in units for s in (1, -1)
+        }
+        assert len(H.facets) == 16
+
+    @pytest.mark.parametrize("dim, points", _oracle_cases())
+    def test_matches_brute_force_oracle(self, dim, points):
+        assert hull_facets(points, dim).facets == brute_force_facets(points, dim)
 
     def test_facets_of_dispatches(self, K, cube3):
         assert {(f.normal, f.rhs) for f in facets_of(K).facets} == {
