@@ -6,13 +6,19 @@ variables.  The engine is the simplex method on the standard equality form
 where needed) with Bland's anti-cycling rule and lowest-index tie-breaking,
 so every run terminates and is deterministic.  The tableau is fraction-free:
 integer rows over one common denominator, pivoted by the elimination kernel
-of qlinalg, with ratios compared by cross-multiplication.
+of qlinalg, with ratios compared by cross-multiplication.  Each constraint
+row and the objective are scaled to integers once, on the way in; the
+phase cost rows, the basic values and the multipliers are computed in
+integers, and a Fraction is made only for a value that is returned.
 
 Certificates are first-class: optimal outcomes carry dual multipliers
 recomputed from the final basis against the original data and checked to
 satisfy the strong duality identities exactly (y >= 0, y^T A = c,
 y^T b = optimum); infeasible outcomes carry a Farkas vector and unbounded
-outcomes an improving ray, checked the same way.
+outcomes an improving ray, checked the same way.  The checks run in
+integers too: the point x = X / q against each row scaled to integers
+(A_i | B_i) / lam_i, as A_i . X <= B_i * q, and y^T [A | b] as one integer
+combination of those rows (_check_dual).
 
 lp_max_assume_bounded solves the same problem through its dual (far fewer
 tableau rows when constraints outnumber variables).  It is only a shortcut
@@ -23,9 +29,13 @@ raising CertificateError when a check fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
+
 from .errors import CertificateError, DimensionMismatch
-from .qlinalg import _integer_row, _pivot_step, dot, exact_div, solve_square
+from .qlinalg import _integer_row, _pivot_step, exact_div, solve_square
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -34,7 +44,10 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class LpProblem:
-    """maximize objective . x  subject to  normal . x <= rhs per constraint."""
+    """maximize objective . x  subject to  normal . x <= rhs per constraint.
+
+    Every entry is an int or a Fraction; a float or a bool raises ValueError.
+    """
 
     objective: tuple
     constraints: tuple
@@ -44,11 +57,19 @@ class LpProblem:
         cons = tuple((tuple(a), b) for a, b in self.constraints)
         if not obj:
             raise DimensionMismatch("objective must have at least one entry")
-        for a, _ in cons:
+        types = set(map(type, obj))
+        for a, b in cons:
             if len(a) != len(obj):
                 raise DimensionMismatch(
                     f"constraint normal of length {len(a)}, expected {len(obj)}"
                 )
+            types.update(map(type, a))
+            types.add(type(b))
+        bad = sorted(t.__name__ for t in types - {int, Fraction} if not issubclass(t, Fraction))
+        if bad:
+            raise ValueError(
+                f"LP entries must be int or Fraction, not {', '.join(bad)}; floats are not accepted"
+            )
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "constraints", cons)
 
@@ -66,31 +87,27 @@ class LpOutcome:
 class _Simplex:
     """Standard-form tableau: max c . z  s.t.  rows * z = rhs, z >= 0.
 
-    The tableau is fraction-free: tab holds integer rows over the common
-    denominator den > 0, the reduced-cost row last.  Each constraint row is
-    scaled to integers once; its crash-basis column, scaled by the same lam,
-    is set back to 1 and so stands for lam * z_j (scale[j] = lam).  Positive
-    column scalings keep every sign and scale a ratio test's ratios alike,
-    so Bland's pivots are those of the rational tableau.
+    The input is in integers, as _integer_row gives it: each row is
+    (ints, lam), the row's coefficients then its right-hand side, all times
+    its scale lam > 0, and the cost is (ints, g), c = ints / g; every
+    objective below takes that form.  The tableau is fraction-free:
+    tab holds integer rows over the common denominator den > 0, the
+    reduced-cost row last.  A row whose right-hand side is negative is
+    negated.  Its crash-basis column, lam in the integer row, is set back to
+    1 and so stands for lam * z_j (scale[j] = lam).  Positive column scalings
+    keep every sign and scale a ratio test's ratios alike, so Bland's pivots
+    are those of the rational tableau.
     """
 
-    def __init__(self, rows, rhs, cvec):
+    def __init__(self, rows, cost):
         m = len(rows)
-        n_real = len(cvec)
+        n_real = len(cost[0])
         self.m = m
         self.n_real = n_real
-        self.flips = []
-        frows, frhs = [], []
-        for row, b in zip(rows, rhs):
-            if b < 0:
-                frows.append([-x for x in row])
-                frhs.append(-b)
-                self.flips.append(-1)
-            else:
-                frows.append(list(row))
-                frhs.append(b)
-                self.flips.append(1)
-        self.frows = frows
+        self.cost = cost
+        self.flips = [1 if ints[-1] >= 0 else -1 for ints, _ in rows]
+        self.rows = [ints if f > 0 else [-x for x in ints] for (ints, _), f in zip(rows, self.flips)]
+        self.lams = [lam for _, lam in rows]
 
         # crash basis: reuse existing unit columns, artificials for the rest
         basis = [None] * m
@@ -98,9 +115,9 @@ class _Simplex:
             pivot_row = None
             ok = True
             for i in range(m):
-                x = frows[i][j]
+                x = self.rows[i][j]
                 if x:
-                    if x != 1 or pivot_row is not None:
+                    if x != self.lams[i] or pivot_row is not None:
                         ok = False
                         break
                     pivot_row = i
@@ -119,9 +136,10 @@ class _Simplex:
         self.scale = [1] * next_col
         tab = []
         for i in range(m):
-            row, lam = _integer_row(frows[i] + [0] * (next_col - n_real) + [frhs[i]])
+            ints = self.rows[i]
+            row = ints[:n_real] + [0] * (next_col - n_real) + ints[-1:]
             row[basis[i]] = 1
-            self.scale[basis[i]] = lam
+            self.scale[basis[i]] = self.lams[i]
             tab.append(row)
         tab.append([0] * (next_col + 1))
         self.tab = tab
@@ -136,15 +154,21 @@ class _Simplex:
             raise CertificateError("simplex pivot budget exhausted (cycling?)")
 
     def run_phase(self, obj, barred):
-        """Bland iterations for max obj . z from the current basis.
+        """Bland iterations for max (ints / g) . z from the current basis, obj = (ints, g).
 
         Returns (status, entering), entering being the unbounded column when
         status is "unbounded".  The reduced-cost row tab[m] is red_scale * den
         times the reduced costs of the scaled variables, so its last entry is
-        minus red_scale * den times the objective value.
+        minus red_scale * den times the objective value.  It is built in
+        integers: with L the lcm of scale[j] over the j with ints[j] != 0, the
+        cost of scaled column j is ints[j] * (L / scale[j]) and red_scale =
+        g * L, a positive factor that keeps every sign.
         """
-        tab, basis, m = self.tab, self.basis, self.m
-        cost, self.red_scale = _integer_row([exact_div(c, s) for c, s in zip(obj, self.scale)])
+        tab, basis, m, scale = self.tab, self.basis, self.m, self.scale
+        ints, g = obj
+        lcm = math.lcm(*(s for c, s in zip(ints, scale) if c))
+        cost = [c * (lcm // s) if c else 0 for c, s in zip(ints, scale)]
+        self.red_scale = g * lcm
         red = [c * self.den for c in cost] + [0]
         for i in range(m):
             cb = cost[basis[i]]
@@ -173,13 +197,20 @@ class _Simplex:
                 return UNBOUNDED, enter
             self._pivot(leave, enter)
 
-    def solve(self, cvec):
-        """Two-phase run; returns (status, payload) in the unscaled variables."""
+    def phase1_objective(self):
+        """Minus the sum of the artificials."""
+        return [0] * self.n_real + [-1] * len(self.art_row), 1
+
+    def solve(self):
+        """Two-phase run; returns (status, payload) in the unscaled variables.
+
+        Values come as integer pairs (numerator, denominator): z_j for each
+        basic column, or the ray's coordinate for each column it moves.
+        """
         barred = set(self.art_row)
         tab, basis, m, scale = self.tab, self.basis, self.m, self.scale
         if self.art_row:
-            obj1 = [0] * self.n_real + [-1] * len(self.art_row)
-            status, _ = self.run_phase(obj1, frozenset())
+            status, _ = self.run_phase(self.phase1_objective(), frozenset())
             if status != OPTIMAL:
                 raise CertificateError("phase 1 cannot be unbounded")
             if tab[m][-1]:
@@ -192,56 +223,118 @@ class _Simplex:
                     col = next((j for j in range(self.n_real) if row[j]), None)
                     if col is not None:
                         self._pivot(i, col)
-        obj2 = list(cvec) + [0] * len(self.art_row)
+        ints, g = self.cost
+        obj2 = (ints + [0] * len(self.art_row), g)
         status, enter = self.run_phase(obj2, barred)
         den = self.den
         if status == UNBOUNDED:
-            ray = {enter: 1}
+            ray = {enter: (1, 1)}
             for i in range(m):
                 x = tab[i][enter]
                 if x:
-                    ray[basis[i]] = exact_div(-x * scale[enter], den * scale[basis[i]])
+                    ray[basis[i]] = (-x * scale[enter], den * scale[basis[i]])
             return UNBOUNDED, {"ray": ray}
-        zvals = {}
-        for i in range(m):
-            zvals[basis[i]] = exact_div(tab[i][-1], den * scale[basis[i]])
+        zvals = {basis[i]: (tab[i][-1], den * scale[basis[i]]) for i in range(m)}
         value = exact_div(-tab[m][-1], den * self.red_scale)
         return OPTIMAL, {"value": value, "z": zvals, "phase2_obj": obj2}
 
     def row_multipliers(self, obj_ext):
-        """Multipliers y for the original rows, from the final basis.
+        """Multipliers y for the original rows, from the final basis, for obj_ext = (ints, g).
 
-        Solves (A_B)^T pi = obj_B on the flipped system, then un-flips.
+        Solves A_B^T y = c_B, c = ints / g.  Basic column j gives the
+        equation sum_i flip_i * F_ij / lam_i * y_i = ints[j] / g, F the
+        flipped integer rows.  Each coefficient is reduced by a gcd and the
+        equation multiplied by the lcm of the reduced denominators, so
+        solve_square gets the least integer form of each equation.
         """
-        cols = []
+        m, rows, lams, flips = self.m, self.rows, self.lams, self.flips
+        obj, g = obj_ext
+        mat, rhs = [], []
         for j in self.basis:
             if j < self.n_real:
-                cols.append([self.frows[i][j] for i in range(self.m)])
+                nums, dens = [], []
+                for f, row, lam in zip(flips, rows, lams):
+                    h = math.gcd(row[j], lam)
+                    nums.append(f * row[j] // h)
+                    dens.append(lam // h)
             else:
                 r = self.art_row[j]
-                cols.append([1 if i == r else 0 for i in range(self.m)])
-        rhs = [obj_ext[j] for j in self.basis]
-        pi = solve_square(cols, rhs)
-        if pi is None:
+                nums = [flips[r] if i == r else 0 for i in range(m)]
+                dens = [1] * m
+            h = math.gcd(obj[j], g)
+            lcm = math.lcm(g // h, *dens)
+            mat.append([x * (lcm // q) for x, q in zip(nums, dens)])
+            rhs.append(obj[j] // h * (lcm // (g // h)))
+        y = solve_square(mat, rhs)
+        if y is None:
             raise CertificateError("basis matrix is singular")
-        return tuple(f * p for f, p in zip(self.flips, pi))
+        return y
+
+
+def _difference(z, j, k):
+    """z_j - z_k, each value an integer pair (numerator, denominator) or absent for 0."""
+    (pn, pd), (mn, md) = z.get(j, (0, 1)), z.get(k, (0, 1))
+    return exact_div(pn * md - mn * pd, pd * md)
+
+
+def _dot(ints, vec):
+    """Integer dot product over the first len(vec) entries of ints."""
+    return sum(map(mul, ints, vec))
+
+
+def _integer_rows(constraints):
+    """Each constraint (a, b) as (A | B, lam) with (a | b) = (A | B) / lam in integers."""
+    return [_integer_row(a + (b,)) for a, b in constraints]
+
+
+def _check_dual(rows, y, objective, value):
+    """Check the dual certificate y in integers, raising CertificateError on a failure.
+
+    rows are the constraint rows from _integer_rows.  An optimal certificate
+    has y >= 0, y^T A = objective and y^T b = value; a Farkas certificate
+    (value None, objective zero) has y >= 0, y^T A = 0 and y^T b < 0.  With
+    y = Y / s, objective = C / g and L the lcm of the lam_i of the rows with
+    Y_i != 0, y^T [A | b] is the integer sum of Y_i * (L / lam_i) * (A_i | B_i)
+    over s * L, so both identities are compared as integers.
+    """
+    farkas = value is None
+    Y, s = _integer_row(y)
+    if len(Y) != len(rows) or any(v < 0 for v in Y):
+        raise CertificateError(f"certificate check failed: {'Farkas' if farkas else 'dual'} sign")
+    used = [(v, rows[i]) for i, v in enumerate(Y) if v]
+    lcm = math.lcm(*(lam for _, (_, lam) in used))
+    sums = [0] * (len(objective) + 1)
+    for v, (row, lam) in used:
+        w = v * (lcm // lam)
+        for k, a in enumerate(row):
+            sums[k] += w * a
+    t = s * lcm
+    C, g = _integer_row(objective)
+    if any(S * g != c * t for S, c in zip(sums, C)):
+        raise CertificateError(
+            f"certificate check failed: {'Farkas y^T A = 0' if farkas else 'y^T A = c'}"
+        )
+    if farkas:
+        if sums[-1] >= 0:
+            raise CertificateError("certificate check failed: Farkas y^T b < 0")
+    elif sums[-1] * value.denominator != value.numerator * t:
+        raise CertificateError("certificate check failed: y^T b = optimum")
 
 
 def _certify_optimal(problem, x, y, value):
-    c = problem.objective
-    cons = problem.constraints
-    if dot(c, x) != value:
+    """Check an optimal outcome against the original data, all in integers.
+
+    With x = X / q and each constraint (A_i | B_i) / lam_i: c . x = value,
+    A_i . X <= B_i * q for every row, then the dual identities of _check_dual.
+    """
+    rows = _integer_rows(problem.constraints)
+    C, g = _integer_row(problem.objective)
+    X, q = _integer_row(x)
+    if len(X) != len(C) or _dot(C, X) * value.denominator != value.numerator * g * q:
         raise CertificateError("certificate check failed: objective value")
-    for a, b in cons:
-        if dot(a, x) > b:
-            raise CertificateError("certificate check failed: primal feasibility")
-    if len(y) != len(cons) or any(v < 0 for v in y):
-        raise CertificateError("certificate check failed: dual sign")
-    for k in range(len(c)):
-        if sum(y[i] * cons[i][0][k] for i in range(len(cons))) != c[k]:
-            raise CertificateError("certificate check failed: y^T A = c")
-    if sum(y[i] * cons[i][1] for i in range(len(cons))) != value:
-        raise CertificateError("certificate check failed: y^T b = optimum")
+    if any(_dot(row, X) > row[-1] * q for row, _ in rows):
+        raise CertificateError("certificate check failed: primal feasibility")
+    _check_dual(rows, y, problem.objective, value)
 
 
 def lp_max(problem: LpProblem) -> LpOutcome:
@@ -250,48 +343,38 @@ def lp_max(problem: LpProblem) -> LpOutcome:
     cons = problem.constraints
     d = len(c)
     m = len(cons)
+    int_rows = _integer_rows(cons)
 
-    # columns: x+ (d), x- (d), slacks (m)
+    # columns: x+ (d), x- (d), slacks (m); a slack's column is lam in its row
     rows = []
-    rhs = []
-    for i, (a, b) in enumerate(cons):
-        row = list(a) + [-x for x in a] + [0] * m
-        row[2 * d + i] = 1
-        rows.append(row)
-        rhs.append(b)
-    cstd = list(c) + [-x for x in c] + [0] * m
-
-    engine = _Simplex(rows, rhs, cstd)
-    status, payload = engine.solve(cstd)
+    for i, (ints, lam) in enumerate(int_rows):
+        a = ints[:d]
+        row = a + [-x for x in a] + [0] * m + ints[d:]
+        row[2 * d + i] = lam
+        rows.append((row, lam))
+    C, g = _integer_row(c)
+    engine = _Simplex(rows, (C + [-x for x in C] + [0] * m, g))
+    status, payload = engine.solve()
 
     if status == INFEASIBLE:
-        obj1 = [0] * engine.n_real + [-1] * len(engine.art_row)
-        y = engine.row_multipliers(obj1)
-        if any(v < 0 for v in y):
-            raise CertificateError("certificate check failed: Farkas sign")
-        for k in range(d):
-            if sum(y[i] * cons[i][0][k] for i in range(m)) != 0:
-                raise CertificateError("certificate check failed: Farkas y^T A = 0")
-        if sum(y[i] * cons[i][1] for i in range(m)) >= 0:
-            raise CertificateError("certificate check failed: Farkas y^T b < 0")
+        y = engine.row_multipliers(engine.phase1_objective())
+        _check_dual(int_rows, y, (0,) * d, None)
         return LpOutcome(status=INFEASIBLE, farkas=y)
 
     if status == UNBOUNDED:
         zray = payload["ray"]
-        r = tuple(zray.get(k, 0) - zray.get(d + k, 0) for k in range(d))
-        if dot(c, r) <= 0:
+        r = tuple(_difference(zray, k, d + k) for k in range(d))
+        R, _ = _integer_row(r)
+        if _dot(C, R) <= 0:
             raise CertificateError("certificate check failed: ray improves")
-        for a, _ in cons:
-            if dot(a, r) > 0:
-                raise CertificateError("certificate check failed: ray recession")
+        if any(_dot(row, R) > 0 for row, _ in int_rows):
+            raise CertificateError("certificate check failed: ray recession")
         return LpOutcome(status=UNBOUNDED, ray=r)
 
     z = payload["z"]
-    x = tuple(z.get(k, 0) - z.get(d + k, 0) for k in range(d))
+    x = tuple(_difference(z, k, d + k) for k in range(d))
     y = engine.row_multipliers(payload["phase2_obj"])
-    value = dot(c, x)
-    if value != payload["value"]:
-        raise CertificateError("certificate check failed: tableau value")
+    value = payload["value"]
     _certify_optimal(problem, x, y, value)
     return LpOutcome(status=OPTIMAL, optimum=value, point=x, dual_multipliers=y)
 
@@ -311,21 +394,18 @@ def lp_max_assume_bounded(problem: LpProblem) -> LpOutcome:
     if m == 0:
         return lp_max(problem)
 
-    rows = [[cons[i][0][k] for i in range(m)] for k in range(d)]
-    rhs = list(c)
-    cdual = [-cons[i][1] for i in range(m)]
-
-    engine = _Simplex(rows, rhs, cdual)
-    status, payload = engine.solve(cdual)
+    # min b . lam  s.t.  A^T lam = c, lam >= 0, as max (-b) . lam
+    rows = [_integer_row([a[k] for a, _ in cons] + [c[k]]) for k in range(d)]
+    B, g = _integer_row([b for _, b in cons])
+    engine = _Simplex(rows, ([-x for x in B], g))
+    status, payload = engine.solve()
     if status != OPTIMAL:
         return lp_max(problem)
 
     z = payload["z"]
-    lam = tuple(z.get(i, 0) for i in range(m))
-    pi = engine.row_multipliers(payload["phase2_obj"])
-    x = tuple(-p for p in pi)
-    value = dot(c, x)
-    if value != -payload["value"]:
-        raise CertificateError("dual/primal value mismatch")
+    lam = tuple(exact_div(*z[i]) if i in z else 0 for i in range(m))
+    # x solves A_B x = b_B: the dual's multipliers for the objective b
+    x = engine.row_multipliers((B + [0] * len(engine.art_row), g))
+    value = -payload["value"]
     _certify_optimal(problem, x, lam, value)
     return LpOutcome(status=OPTIMAL, optimum=value, point=x, dual_multipliers=lam)

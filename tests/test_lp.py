@@ -17,10 +17,14 @@ from minkgeom.lp import (
     UNBOUNDED,
     LpOutcome,
     LpProblem,
+    _certify_optimal,
+    _check_dual,
+    _integer_rows,
     _Simplex,
     lp_max,
     lp_max_assume_bounded,
 )
+from minkgeom.errors import CertificateError
 from minkgeom.qlinalg import dot, solve_square
 
 
@@ -159,12 +163,26 @@ class TestNamedProblems:
         assert out.optimum == 1
 
 
+ORACLE_CASES = pytest.mark.parametrize(
+    "dim, rational, rational_objective",
+    [(2, False, False), (3, False, False), (2, True, False), (3, True, False),
+     (2, True, True), (3, True, True)],
+    ids=["2", "3", "2-rational", "3-rational", "2-rational-objective", "3-rational-objective"],
+)
+
+
+def draw_objective(rng, dim, bound, rational_objective):
+    """A random objective; a rational one has entries moved by fractions of up to 40-bit denominators."""
+    obj = tuple(rng.randint(-bound, bound) for _ in range(dim))
+    if rational_objective:
+        q = rng.randint(2, 2**40)
+        obj = tuple(x + Fraction(rng.randrange(q), q) for x in obj)
+    return obj
+
+
 class TestOracleComparison:
-    @pytest.mark.parametrize(
-        "dim, rational", [(2, False), (3, False), (2, True), (3, True)],
-        ids=["2", "3", "2-rational", "3-rational"],
-    )
-    def test_random_bounded_problems(self, dim, rational):
+    @ORACLE_CASES
+    def test_random_bounded_problems(self, dim, rational, rational_objective):
         rng = random.Random(20260819 + dim)
         box = box_constraints(dim, 5)
         feasible_seen = 0
@@ -179,7 +197,7 @@ class TestOracleComparison:
                 if rational and rng.random() < 0.5:
                     a, b = with_denominator(rng, a, b)
                 cons.append((a, b))
-            obj = tuple(rng.randint(-3, 3) for _ in range(dim))
+            obj = draw_objective(rng, dim, 3, rational_objective)
             problem = LpProblem(obj, tuple(cons))
             expected = brute_force_max(obj, cons, dim)
             out = lp_max(problem)
@@ -199,11 +217,8 @@ class TestOracleComparison:
         assert feasible_seen >= 20
         assert infeasible_seen >= 3
 
-    @pytest.mark.parametrize(
-        "dim, rational", [(2, False), (3, False), (2, True), (3, True)],
-        ids=["2", "3", "2-rational", "3-rational"],
-    )
-    def test_fast_path_matches_general_path(self, dim, rational):
+    @ORACLE_CASES
+    def test_fast_path_matches_general_path(self, dim, rational, rational_objective):
         rng = random.Random(977 + dim)
         box = box_constraints(dim, 6)
         checked = 0
@@ -217,7 +232,7 @@ class TestOracleComparison:
                 if rational and rng.random() < 0.5:
                     a, b = with_denominator(rng, a, b)
                 cons.append((a, b))
-            obj = tuple(rng.randint(-4, 4) for _ in range(dim))
+            obj = draw_objective(rng, dim, 4, rational_objective)
             problem = LpProblem(obj, tuple(cons))
             expected = brute_force_max(obj, cons, dim)
             if expected is None:
@@ -255,6 +270,95 @@ class TestOracleComparison:
         assert len(calls) == 1
 
 
+F = Fraction
+
+
+class TestCertificateChecks:
+    """Each certificate check, run in integers, still rejects its own corruption.
+
+    Every row carries its own denominator (distinct lam_i), so a check that
+    weighs the integer rows by the wrong factor fails on the valid certificate.
+    """
+
+    # max x/2 + 2y/3 over x + y <= 2, x <= 1, x >= -1, y <= 3/2, y >= -2, each
+    # row scaled by its own fraction: optimum 5/4 at (1/2, 3/2), y = (3/2, 0, 0, 1/3, 0).
+    OPTIMAL_PROBLEM = LpProblem(
+        (F(1, 2), F(2, 3)),
+        (
+            ((F(1, 3), F(1, 3)), F(2, 3)),
+            ((F(1, 5), 0), F(1, 5)),
+            ((F(-1, 7), 0), F(1, 7)),
+            ((0, F(1, 2)), F(3, 4)),
+            ((0, F(-1, 11)), F(2, 11)),
+        ),
+    )
+    # x <= -1 and x >= 1, with a box on the second coordinate.
+    INFEASIBLE_PROBLEM = LpProblem(
+        (1, F(1, 2)),
+        (
+            ((F(1, 3), 0), F(-1, 3)),
+            ((F(-1, 5), 0), F(-1, 5)),
+            ((0, F(1, 7)), F(1, 7)),
+            ((0, F(-1, 2)), F(1, 2)),
+        ),
+    )
+
+    POINT, MULTIPLIERS, VALUE = (F(1, 2), F(3, 2)), (F(3, 2), 0, 0, F(1, 3), 0), F(5, 4)
+    FARKAS = (3, 5, 0, 0)  # 3 (x/3) + 5 (-x/5) = 0, and 3 (-1/3) + 5 (-1/5) = -2
+
+    def certify(self, x=POINT, y=MULTIPLIERS, value=VALUE):
+        _certify_optimal(self.OPTIMAL_PROBLEM, x, y, value)
+
+    def check_farkas(self, y):
+        _check_dual(_integer_rows(self.INFEASIBLE_PROBLEM.constraints), y, (0, 0), None)
+
+    def test_solver_returns_the_certificates(self):
+        out = lp_max(self.OPTIMAL_PROBLEM)
+        assert (out.point, out.dual_multipliers, out.optimum) == (
+            self.POINT, self.MULTIPLIERS, self.VALUE
+        )
+        assert lp_max(self.INFEASIBLE_PROBLEM).status == INFEASIBLE
+
+    def test_valid_certificates_pass(self):
+        self.certify()
+        self.check_farkas(self.FARKAS)
+
+    def test_infeasible_point(self):
+        # moved along (4, -3), orthogonal to c: same value, past x + y <= 2
+        with pytest.raises(CertificateError, match="primal feasibility"):
+            self.certify(x=(F(9, 10), F(6, 5)))
+
+    def test_wrong_value(self):
+        with pytest.raises(CertificateError, match="objective value"):
+            self.certify(value=self.VALUE + F(1, 30))
+
+    def test_negative_multiplier(self):
+        with pytest.raises(CertificateError, match="dual sign"):
+            self.certify(y=(-self.MULTIPLIERS[0],) + self.MULTIPLIERS[1:])
+
+    def test_multipliers_miss_the_objective(self):
+        with pytest.raises(CertificateError, match=r"y\^T A = c"):
+            self.certify(y=tuple(2 * v for v in self.MULTIPLIERS))
+
+    def test_multipliers_miss_the_optimum(self):
+        # 5 (x/5) + 7 (-x/7) = 0, so y^T A stays c while y^T b grows by 2
+        with pytest.raises(CertificateError, match=r"y\^T b = optimum"):
+            self.certify(y=(F(3, 2), 5, 7, F(1, 3), 0))
+
+    def test_farkas_negative_multiplier(self):
+        with pytest.raises(CertificateError, match="Farkas sign"):
+            self.check_farkas((3, 5, -1, 0))
+
+    def test_farkas_combination_not_zero(self):
+        with pytest.raises(CertificateError, match=r"Farkas y\^T A = 0"):
+            self.check_farkas((3, 4, 0, 0))
+
+    def test_farkas_combination_not_negative(self):
+        # 7 (y/7) + 2 (-y/2) = 0, while y^T b grows by 2 up to 0
+        with pytest.raises(CertificateError, match=r"Farkas y\^T b < 0"):
+            self.check_farkas((3, 5, 7, 2))
+
+
 class TestProblemValidation:
     def test_empty_objective_rejected(self):
         with pytest.raises(Exception):
@@ -263,6 +367,26 @@ class TestProblemValidation:
     def test_mismatched_constraint_rejected(self):
         with pytest.raises(Exception):
             LpProblem((1, 2), (((1,), 0),))
+
+    @pytest.mark.parametrize(
+        "objective, constraints",
+        [
+            ((1.5,), (((1,), 2),)),
+            ((1,), (((0.5,), 2),)),
+            ((1,), (((1,), 2.0),)),
+            ((True,), (((1,), 2),)),
+            ((1,), (((1,), False),)),
+            ((1,), (((1,), "2"),)),
+        ],
+        ids=["float-objective", "float-normal", "float-rhs", "bool-objective", "bool-rhs", "str-rhs"],
+    )
+    def test_non_rational_entry_rejected(self, objective, constraints):
+        with pytest.raises(ValueError, match="floats are not accepted"):
+            LpProblem(objective, constraints)
+
+    def test_rational_entries_accepted(self):
+        out = lp_max(LpProblem((F(1, 2),), (((F(2, 3),), F(4, 3)),)))
+        assert out.optimum == 1
 
     def test_outcome_is_plain_data(self):
         out = LpOutcome(status=OPTIMAL, optimum=0)
