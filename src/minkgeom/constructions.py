@@ -55,12 +55,12 @@ def tetrahedron_k() -> VPolytope:
     )
 
 
-def walsh_simplex(n: int, limit: int = WALSH_SIMPLEX_MAX_N) -> VPolytope:
+def walsh_simplex(n: int) -> VPolytope:
     """Rows of the order-2^n Walsh matrix with the first coordinate dropped."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if n > limit:
-        raise SizeLimitExceeded(f"walsh_simplex gated to n <= {limit}")
+    if n > WALSH_SIMPLEX_MAX_N:
+        raise SizeLimitExceeded(f"walsh_simplex gated to n <= {WALSH_SIMPLEX_MAX_N}")
     mat = walsh_matrix(n)
     if not is_hadamard(mat):
         raise CertificateError("Walsh matrix lost the Hadamard identity")

@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .errors import CertificateError, DimensionMismatch
-from .qlinalg import _integer_row, _pivot_step, exact_div, solve_square
+from .qlinalg import _integer_row, _pivot_step, check_rational_types, exact_div, solve_square
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -65,11 +64,7 @@ class LpProblem:
                 )
             types.update(map(type, a))
             types.add(type(b))
-        bad = sorted(t.__name__ for t in types - {int, Fraction} if not issubclass(t, Fraction))
-        if bad:
-            raise ValueError(
-                f"LP entries must be int or Fraction, not {', '.join(bad)}; floats are not accepted"
-            )
+        check_rational_types(types, "LP entries")
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "constraints", cons)
 

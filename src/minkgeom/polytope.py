@@ -27,6 +27,7 @@ from .lp import OPTIMAL, UNBOUNDED, LpProblem, lp_max, lp_max_assume_bounded
 from .qlinalg import (
     _forward_eliminate,
     affine_rank,
+    check_rational_types,
     dot,
     exact_div,
     fmt_rat,
@@ -58,6 +59,7 @@ class VPolytope:
                 raise DimensionMismatch(
                     f"point of length {len(v)} in dimension {self.dim}"
                 )
+        check_rational_types({type(x) for v in verts for x in v}, "coordinates")
         if len(set(verts)) != len(verts):
             raise DegenerateBody("duplicate points")
         object.__setattr__(self, "vertices", verts)
@@ -214,7 +216,7 @@ def difference_body(P: VPolytope) -> VPolytope:
     return VPolytope(P.dim, tuple(pts))
 
 
-def hull_facets(points, dim=None, limit=HULL_MAX_DIM) -> HPolytope:
+def hull_facets(points, dim=None) -> HPolytope:
     """Irredundant facets of conv(points), by exact double description.
 
     The facets a . x <= beta are the extreme rays (a, beta) of the cone of
@@ -230,8 +232,8 @@ def hull_facets(points, dim=None, limit=HULL_MAX_DIM) -> HPolytope:
         raise DegenerateBody("no points")
     if dim is None:
         dim = len(pts[0])
-    if dim > limit:
-        raise SizeLimitExceeded(f"facet enumeration gated to dim <= {limit}, got {dim}")
+    if dim > HULL_MAX_DIM:
+        raise SizeLimitExceeded(f"facet enumeration gated to dim <= {HULL_MAX_DIM}, got {dim}")
     scale = math.lcm(*(x.denominator for p in pts for x in p))
     ipts = [tuple(int(x * scale) for x in p) for p in pts]
     # the pivot columns of the differences, taken as columns, are the first affine basis
@@ -275,11 +277,11 @@ def hull_facets(points, dim=None, limit=HULL_MAX_DIM) -> HPolytope:
     return HPolytope(dim, tuple(sorted(facets, key=lambda h: (h.normal, h.rhs))))
 
 
-def facets_of(P: VPolytope, limit=HULL_MAX_DIM) -> HPolytope:
+def facets_of(P: VPolytope) -> HPolytope:
     """H-representation of a V-polytope: direct for simplices, enumerated otherwise."""
     if is_simplex(P):
         return simplex_hrep(P)
-    return hull_facets(P.vertices, P.dim, limit)
+    return hull_facets(P.vertices, P.dim)
 
 
 def extreme_points(points, dim) -> tuple:

@@ -52,6 +52,15 @@ def parse_rat(value):
     raise ValueError(f"not a rational: {value!r}")
 
 
+def check_rational_types(types, what):
+    """Raise ValueError unless every type in the set is int or Fraction (bool is not)."""
+    bad = sorted(t.__name__ for t in types - {int, Fraction} if not issubclass(t, Fraction))
+    if bad:
+        raise ValueError(
+            f"{what} must be int or Fraction, not {', '.join(bad)}; floats are not accepted"
+        )
+
+
 def fmt_rat(value) -> str:
     """Render a rational as 'p' or 'p/q' with q > 0."""
     return str(value)

@@ -7,7 +7,7 @@ from .errors import SizeLimitExceeded
 WALSH_MAX_K = 16
 
 
-def walsh_matrix(k: int, limit: int = WALSH_MAX_K):
+def walsh_matrix(k: int):
     """The order-2^k Walsh matrix as a tuple of integer row tuples.
 
     Built by the block doubling rule: start from [[1, 1], [1, -1]] and map
@@ -15,8 +15,8 @@ def walsh_matrix(k: int, limit: int = WALSH_MAX_K):
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > limit:
-        raise SizeLimitExceeded(f"k = {k} exceeds the limit {limit}")
+    if k > WALSH_MAX_K:
+        raise SizeLimitExceeded(f"k = {k} exceeds the limit {WALSH_MAX_K}")
     rows = [[1, 1], [1, -1]]
     for _ in range(k - 1):
         rows = [row + row for row in rows] + [row + [-x for x in row] for row in rows]

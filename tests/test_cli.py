@@ -29,6 +29,15 @@ def cube_file(tmp_path, cube3):
     return str(path)
 
 
+@pytest.fixture
+def simplex17_file(tmp_path):
+    """The corner simplex conv(0, e_1, ..., e_17): one dimension past BALL_MAX_DIM."""
+    verts = [[0] * 17] + [[int(i == j) for j in range(17)] for i in range(17)]
+    path = tmp_path / "simplex17.json"
+    path.write_text(json.dumps({"dim": 17, "vertices": verts}))
+    return str(path)
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -107,6 +116,13 @@ class TestMetrics:
         assert code == 0
         assert obj["diameter"] == "2"
 
+    def test_l1_ball_past_the_sign_vector_gate(self, capsys, simplex17_file):
+        # metrics reads only the 34 vertices of the l1 ball, never its 2^17 facets
+        code, obj = run(capsys, ["metrics", "--body", simplex17_file, "--ball", "l1"])
+        assert code == 0
+        assert obj["diameter"] == "2"
+        assert obj["thickness"] == "1"
+
 
 class TestComplete:
     def test_complete_body_exits_zero(self, capsys, k_file):
@@ -119,6 +135,12 @@ class TestComplete:
         assert code == 1
         assert obj["complete"] is False
         assert obj["violation"] is not None
+
+    def test_ball_hull_past_the_sign_vector_gate(self, capsys, simplex17_file):
+        # the ball hull needs the 2^17 facets of the l1 ball
+        code, obj = run(capsys, ["complete", "--body", simplex17_file, "--ball", "l1"])
+        assert code == 2
+        assert obj["error"]["type"] == "SizeLimitExceeded"
 
 
 class TestWitness:

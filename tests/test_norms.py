@@ -18,7 +18,7 @@ from minkgeom.norms import (
     point_hyperplane_distance,
 )
 from minkgeom.polytope import HPolytope, VPolytope, contains, halfspace
-from minkgeom.qlinalg import vscale
+from minkgeom.qlinalg import dot, exact_div, vscale
 
 rational = st.fractions(
     min_value=Fraction(-30), max_value=Fraction(30), max_denominator=12
@@ -68,8 +68,18 @@ class TestBallConstruction:
         }
 
     def test_dim_gate(self):
+        # the gate sits on the 2^dim sign vectors, not on building the ball
+        big = l1_ball(31)
+        x = tuple(range(-15, 16))
+        assert norm(x, big) == 240
+        assert dual_support(x, big) == 15
+        assert len(big.ball_v.vertices) == 62
         with pytest.raises(SizeLimitExceeded):
-            l1_ball(BALL_MAX_DIM + 1)
+            l1_ball(BALL_MAX_DIM + 1).ball_h
+        with pytest.raises(SizeLimitExceeded):
+            linf_ball(BALL_MAX_DIM + 1).ball_v
+        with pytest.raises(DimensionMismatch):
+            l1_ball(0)
         with pytest.raises(DimensionMismatch):
             linf_ball(0)
 
@@ -124,16 +134,26 @@ class TestNormValues:
         assert norm((1, -1), b) == 1
         assert norm((-3, 1), b) == 3
 
-    def test_l1_fast_path_matches_generic(self):
-        fast = l1_ball(3)
-        generic = custom_ball(fast.ball_v, fast.ball_h)
-        assert generic.kind == "custom"
-        for v in ((1, -2, 3), (0, 0, 0), (Fraction(5, 7), -1, Fraction(1, 2))):
-            assert norm(v, fast) == norm(v, generic)
+    @settings(max_examples=60)
+    @given(data=st.data(), make=st.sampled_from([l1_ball, linf_ball]), dim=st.integers(1, 5))
+    def test_closed_forms_match_enumerations(self, data, make, dim):
+        b = make(dim)
+        generic = custom_ball(b.ball_v, b.ball_h)
+        x = data.draw(vec_strategy(dim))
+        u = data.draw(vec_strategy(dim))
+        facet_max = max(exact_div(dot(f.normal, x), f.rhs) for f in b.ball_h.facets)
+        vertex_max = max(dot(u, v) for v in b.ball_v.vertices)
+        assert norm(x, b) == facet_max == norm(x, generic)
+        assert dual_support(u, b) == vertex_max == dual_support(u, generic)
 
     def test_dimension_checked(self):
         with pytest.raises(DimensionMismatch):
             norm((1, 0), l1_ball(3))
+        for b in BALLS_2D.values():
+            with pytest.raises(DimensionMismatch):
+                norm((1, 0, 0), b)
+            with pytest.raises(DimensionMismatch):
+                dual_support((1, 0, 0), b)
 
 
 @pytest.mark.parametrize("name", sorted(BALLS_2D))

@@ -1,0 +1,56 @@
+"""The package's two fixed rules: no floats anywhere, no dependencies outside the
+standard library.  Every module under src/minkgeom is parsed and scanned for float
+and complex literals, calls to float(), and absolute imports of a top-level module
+that is not in sys.stdlib_module_names.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "minkgeom"
+MODULES = sorted(PACKAGE.rglob("*.py"))
+
+
+def foreign(module):
+    return module.split(".")[0] not in sys.stdlib_module_names
+
+
+def violations(source):
+    """Sorted (line, description) for each breach of the two rules in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, f"float literal {node.value!r}"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            found.append((node.lineno, "float() call"))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {a.name}") for a in node.names if foreign(a.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and foreign(node.module):
+            found.append((node.lineno, f"from {node.module} import"))
+    return sorted(found)
+
+
+def test_package_modules_found():
+    assert PACKAGE / "__init__.py" in MODULES
+    assert len(MODULES) > 5
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_keeps_the_rules(path):
+    assert violations(path.read_text(encoding="utf-8")) == []
+
+
+def test_scanner_flags_each_rule():
+    source = (
+        "import numpy.linalg\n"
+        "from scipy import optimize\n"
+        "from . import qlinalg\n"
+        "from fractions import Fraction\n"
+        "x = 0.5\n"
+        "y = float(Fraction(1, 2))\n"
+        "z = 2j\n"
+    )
+    assert [line for line, _ in violations(source)] == [1, 2, 5, 6, 7]

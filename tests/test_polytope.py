@@ -112,6 +112,19 @@ class TestVPolytope:
         with pytest.raises(ValueError):
             VPolytope(2, ())
 
+    @pytest.mark.parametrize(
+        "vertices",
+        [((0.5, 0), (0, 0), (0, 1)), ((True, 0), (0, 0), (0, 1))],
+        ids=["float", "bool"],
+    )
+    def test_non_rational_coordinates_rejected(self, vertices):
+        with pytest.raises(ValueError, match="floats are not accepted"):
+            VPolytope(2, vertices)
+
+    def test_mixed_int_and_fraction_accepted(self):
+        P = VPolytope(2, ((Fraction(1, 2), 0), (0, 0), (0, Fraction(3))))
+        assert P.vertices[0] == (Fraction(1, 2), 0)
+
 
 class TestHalfspace:
     def test_canonicalization(self):
