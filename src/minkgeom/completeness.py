@@ -17,12 +17,12 @@ from .lp import OPTIMAL, LpProblem, lp_max_assume_bounded
 from .metrics import diameter, inball_scale, thickness
 from .norms import PolytopalNorm, dual_support, norm
 from .polytope import (
+    _cut_polytope,
     Halfspace,
     HPolytope,
     VPolytope,
     body_to_obj,
     contains,
-    cut_polytope,
     facets_of,
     halfspace_to_obj,
     support,
@@ -142,11 +142,11 @@ def verify_reduction_witness(P: VPolytope, h: Halfspace, ball: PolytopalNorm) ->
     the body raises EmptyIntersection; one that flattens it raises
     DegenerateBody.
     """
-    return _verify_cut(P, h, ball, None)
+    return _verify_cut(P, h, ball, None, None)
 
 
-def _verify_cut(P, h, ball, before):
-    """verify_reduction_witness with thickness(P) given as before, or None to compute it."""
+def _verify_cut(P, h, ball, before, facets):
+    """verify_reduction_witness given thickness(P) as before and facets_of(P) as facets, or None."""
     if len(h.normal) != P.dim:
         raise DimensionMismatch(f"cut normal of length {len(h.normal)} in dimension {P.dim}")
     vals = [dot(h.normal, v) - h.rhs for v in P.vertices]
@@ -157,7 +157,7 @@ def _verify_cut(P, h, ball, before):
         before, _ = thickness(P, ball, "exact_lp")
     if not removed:
         return ReductionWitness(h, removed, before, before, False)
-    Q = cut_polytope(P, h)
+    Q = _cut_polytope(P, h, facets)
     if affine_rank(Q.vertices) != P.dim:
         raise DegenerateBody("the cut body is lower-dimensional")
     after, _ = thickness(Q, ball, "exact_lp")
@@ -180,7 +180,7 @@ def search_reduction_witness(P: VPolytope, ball: PolytopalNorm):
         neg = vneg(f.normal)
         cut = Halfspace(neg, scale * dual_support(neg, ball))
         try:
-            witness = _verify_cut(P, cut, ball, before)
+            witness = _verify_cut(P, cut, ball, before, body_facets)
         except (DegenerateBody, EmptyIntersection):
             continue
         if witness.valid:

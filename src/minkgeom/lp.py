@@ -282,15 +282,15 @@ def _integer_rows(constraints):
     return [_integer_row(a + (b,)) for a, b in constraints]
 
 
-def _check_dual(rows, y, objective, value):
+def _check_dual(rows, y, cost, value):
     """Check the dual certificate y in integers, raising CertificateError on a failure.
 
-    rows are the constraint rows from _integer_rows.  An optimal certificate
-    has y >= 0, y^T A = objective and y^T b = value; a Farkas certificate
-    (value None, objective zero) has y >= 0, y^T A = 0 and y^T b < 0.  With
-    y = Y / s, objective = C / g and L the lcm of the lam_i of the rows with
-    Y_i != 0, y^T [A | b] is the integer sum of Y_i * (L / lam_i) * (A_i | B_i)
-    over s * L, so both identities are compared as integers.
+    rows are the constraint rows from _integer_rows and cost = (C, g) the
+    objective C / g.  An optimal certificate has y >= 0, y^T A = C / g and
+    y^T b = value; a Farkas certificate (value None, C zero) has y >= 0,
+    y^T A = 0 and y^T b < 0.  With y = Y / s and L the lcm of the lam_i of the
+    rows with Y_i != 0, y^T [A | b] is the integer sum of Y_i * (L / lam_i) *
+    (A_i | B_i) over s * L, so both identities are compared as integers.
     """
     farkas = value is None
     Y, s = _integer_row(y)
@@ -298,13 +298,13 @@ def _check_dual(rows, y, objective, value):
         raise CertificateError(f"certificate check failed: {'Farkas' if farkas else 'dual'} sign")
     used = [(v, rows[i]) for i, v in enumerate(Y) if v]
     lcm = math.lcm(*(lam for _, (_, lam) in used))
-    sums = [0] * (len(objective) + 1)
+    C, g = cost
+    sums = [0] * (len(C) + 1)
     for v, (row, lam) in used:
         w = v * (lcm // lam)
         for k, a in enumerate(row):
             sums[k] += w * a
     t = s * lcm
-    C, g = _integer_row(objective)
     if any(S * g != c * t for S, c in zip(sums, C)):
         raise CertificateError(
             f"certificate check failed: {'Farkas y^T A = 0' if farkas else 'y^T A = c'}"
@@ -316,20 +316,19 @@ def _check_dual(rows, y, objective, value):
         raise CertificateError("certificate check failed: y^T b = optimum")
 
 
-def _certify_optimal(problem, x, y, value):
+def _certify_optimal(rows, cost, x, y, value):
     """Check an optimal outcome against the original data, all in integers.
 
-    With x = X / q and each constraint (A_i | B_i) / lam_i: c . x = value,
+    rows and cost as _check_dual takes them.  With x = X / q: C . X = value * g * q,
     A_i . X <= B_i * q for every row, then the dual identities of _check_dual.
     """
-    rows = _integer_rows(problem.constraints)
-    C, g = _integer_row(problem.objective)
+    C, g = cost
     X, q = _integer_row(x)
     if len(X) != len(C) or _dot(C, X) * value.denominator != value.numerator * g * q:
         raise CertificateError("certificate check failed: objective value")
     if any(_dot(row, X) > row[-1] * q for row, _ in rows):
         raise CertificateError("certificate check failed: primal feasibility")
-    _check_dual(rows, y, problem.objective, value)
+    _check_dual(rows, y, cost, value)
 
 
 def lp_max(problem: LpProblem) -> LpOutcome:
@@ -353,7 +352,7 @@ def lp_max(problem: LpProblem) -> LpOutcome:
 
     if status == INFEASIBLE:
         y = engine.row_multipliers(engine.phase1_objective())
-        _check_dual(int_rows, y, (0,) * d, None)
+        _check_dual(int_rows, y, ([0] * d, 1), None)
         return LpOutcome(status=INFEASIBLE, farkas=y)
 
     if status == UNBOUNDED:
@@ -370,7 +369,7 @@ def lp_max(problem: LpProblem) -> LpOutcome:
     x = tuple(_difference(z, k, d + k) for k in range(d))
     y = engine.row_multipliers(payload["phase2_obj"])
     value = payload["value"]
-    _certify_optimal(problem, x, y, value)
+    _certify_optimal(int_rows, (C, g), x, y, value)
     return LpOutcome(status=OPTIMAL, optimum=value, point=x, dual_multipliers=y)
 
 
@@ -402,5 +401,5 @@ def lp_max_assume_bounded(problem: LpProblem) -> LpOutcome:
     # x solves A_B x = b_B: the dual's multipliers for the objective b
     x = engine.row_multipliers((B + [0] * len(engine.art_row), g))
     value = -payload["value"]
-    _certify_optimal(problem, x, lam, value)
+    _certify_optimal(_integer_rows(cons), _integer_row(c), x, lam, value)
     return LpOutcome(status=OPTIMAL, optimum=value, point=x, dual_multipliers=lam)

@@ -136,7 +136,7 @@ def _thickness_difference_body(P: VPolytope, ball: PolytopalNorm):
     independent check of exact_lp, sharing none of its LPs.
     """
     D = difference_body(P)
-    H = hull_facets(D.vertices, P.dim)
+    H = hull_facets(D.vertices)
     best = None
     best_dir = None
     for f in H.facets:

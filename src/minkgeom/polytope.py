@@ -23,7 +23,7 @@ from .errors import (
     SizeLimitExceeded,
     UnboundedRegion,
 )
-from .lp import OPTIMAL, UNBOUNDED, LpProblem, lp_max, lp_max_assume_bounded
+from .lp import OPTIMAL, UNBOUNDED, LpProblem, lp_max
 from .qlinalg import (
     _forward_eliminate,
     affine_rank,
@@ -32,6 +32,7 @@ from .qlinalg import (
     exact_div,
     fmt_rat,
     fmt_vec,
+    gauss_rank,
     kernel_vector,
     parse_rat,
     parse_vec,
@@ -175,34 +176,62 @@ def is_subset(P, Q: HPolytope) -> bool:
 
 
 def cut_polytope(P: VPolytope, h: Halfspace) -> VPolytope:
-    """Vertices of P ∩ {h}.
+    """Vertices of P ∩ {h}, with no LP.
 
-    Kept vertices stay in order, then the crossing point of each segment from
-    a strictly cut vertex to a strictly kept one, in (cut index, kept index)
-    order; vertices on the boundary hyperplane are kept as they are.  For a
-    simplex these segments are edges and the points are exactly the vertices;
-    otherwise they are filtered by extreme_points.  A cut that removes nothing
-    returns P itself.
+    P's kept vertices stay in order, then the points where edges from a
+    strictly cut vertex to a strictly kept one cross the hyperplane, in (cut
+    index, kept index) order.  Every vertex pair of a simplex is an edge;
+    otherwise the edges come from P's facets by _adjacent_pairs, so the cut
+    inherits HULL_MAX_DIM and needs P full-dimensional.  Points whose tight
+    facet normals have rank below dim are not vertices and are dropped.  A
+    cut that removes nothing returns P itself.
     """
+    return _cut_polytope(P, h, None)
+
+
+def _cut_polytope(P, h, facets):
+    """cut_polytope with P's facets given, or None to compute them when P is not a simplex."""
     d = P.dim
     if len(h.normal) != d:
         raise DimensionMismatch(f"cut normal of length {len(h.normal)} in dimension {d}")
     vals = [dot(h.normal, v) - h.rhs for v in P.vertices]
-    kept = [v for v, val in zip(P.vertices, vals) if val <= 0]
-    if not kept:
+    if all(val > 0 for val in vals):
         raise EmptyIntersection("the cut removes every vertex")
-    if len(kept) == len(P.vertices):
+    if all(val <= 0 for val in vals):
         return P
-    pts = dict.fromkeys(kept)
-    for vi, a in zip(P.vertices, vals):
-        if a > 0:
-            for vj, b in zip(P.vertices, vals):
-                if b < 0:
-                    t = exact_div(a, a - b)
-                    pts.setdefault(tuple(x + t * (y - x) for x, y in zip(vi, vj)))
-    if is_simplex(P):
-        return VPolytope(d, tuple(pts))
-    return VPolytope(d, extreme_points(pts, d))
+    verts, masks = list(zip(P.vertices, vals)), None  # every vertex pair of a simplex is an edge
+    if not is_simplex(P):
+        H = facets_of(P) if facets is None else facets
+        pts, verts, masks = verts, [], []
+        for v, val in pts:
+            tight = [k for k, f in enumerate(H.facets) if dot(f.normal, v) == f.rhs]
+            if gauss_rank([H.facets[k].normal for k in tight]) == d:
+                verts.append((v, val))
+                masks.append(sum(1 << k for k in tight))
+    out = [v for v, val in verts if val <= 0]
+    cut = [i for i, (_, a) in enumerate(verts) if a > 0]
+    kept = [j for j, (_, b) in enumerate(verts) if b < 0]
+    for i, j in product(cut, kept) if masks is None else _adjacent_pairs(masks, cut, kept, d - 1):
+        (u, a), (v, b) = verts[i], verts[j]
+        t = exact_div(a, a - b)
+        out.append(tuple(x + t * (y - x) for x, y in zip(u, v)))
+    return VPolytope(d, tuple(out))
+
+
+def _adjacent_pairs(masks, left, right, rank):
+    """The pairs (i, j) of left x right, in that order, whose members are adjacent.
+
+    masks[k] is member k's tight set as a bitmask.  Two members are adjacent
+    when their common tight set holds at least rank elements and lies in no
+    third member's.  hull_facets pairs rays, cut_polytope vertices.
+    """
+    for i, j in product(left, right):
+        za, zb = masks[i], masks[j]
+        common = za & zb
+        if common.bit_count() >= rank and not any(
+            (z & common) == common and z != za and z != zb for z in masks
+        ):
+            yield i, j
 
 
 def difference_body(P: VPolytope) -> VPolytope:
@@ -216,22 +245,21 @@ def difference_body(P: VPolytope) -> VPolytope:
     return VPolytope(P.dim, tuple(pts))
 
 
-def hull_facets(points, dim=None) -> HPolytope:
+def hull_facets(points) -> HPolytope:
     """Irredundant facets of conv(points), by exact double description.
 
     The facets a . x <= beta are the extreme rays (a, beta) of the cone of
     valid inequalities (Motzkin et al. 1953; Fukuda & Prodon 1996).  From a
     simplex's facets, each further point keeps the rays it satisfies and joins
     each adjacent pair it separates.  Rays are integer vectors reduced by their
-    gcd; two are adjacent when their common tight set (a bitmask) holds at
-    least dim - 1 points and lies in no third ray's.  Each facet is checked at
-    the end; a failure raises CertificateError.  The gate bounds only dim.
+    gcd; _adjacent_pairs finds the adjacent pairs from their tight point sets.
+    Each facet is checked at the end; a failure raises CertificateError.  The
+    gate bounds only the dimension, which is that of the points.
     """
     pts = tuple(dict.fromkeys(tuple(p) for p in points))
     if not pts:
         raise DegenerateBody("no points")
-    if dim is None:
-        dim = len(pts[0])
+    dim = len(pts[0])
     if dim > HULL_MAX_DIM:
         raise SizeLimitExceeded(f"facet enumeration gated to dim <= {HULL_MAX_DIM}, got {dim}")
     scale = math.lcm(*(x.denominator for p in pts for x in p))
@@ -255,16 +283,13 @@ def hull_facets(points, dim=None) -> HPolytope:
             continue
         slacks = [(r, z, dot(r, row)) for r, z in rays]
         rays = [(r, z | 1 << i if s == 0 else z) for r, z, s in slacks if s >= 0]
-        pos = [t for t in slacks if t[2] > 0]
-        neg = [t for t in slacks if t[2] < 0]
-        for (rp, zp, sp), (rn, zn, sn) in product(pos, neg):
-            common = zp & zn
-            if common.bit_count() >= dim - 1 and not any(
-                (z & common) == common and z != zp and z != zn for _, z, _ in slacks
-            ):
-                r = tuple(sp * x - sn * y for x, y in zip(rn, rp))
-                g = math.gcd(*r)
-                rays.append((tuple(x // g for x in r), common | 1 << i))
+        pos = [k for k, t in enumerate(slacks) if t[2] > 0]
+        neg = [k for k, t in enumerate(slacks) if t[2] < 0]
+        for kp, kn in _adjacent_pairs([z for _, z, _ in slacks], pos, neg, dim - 1):
+            (rp, zp, sp), (rn, zn, sn) = slacks[kp], slacks[kn]
+            r = tuple(sp * x - sn * y for x, y in zip(rn, rp))
+            g = math.gcd(*r)
+            rays.append((tuple(x // g for x in r), zp & zn | 1 << i))
     facets = []
     for r, _ in rays:
         a, beta = r[:dim], r[dim]
@@ -281,31 +306,7 @@ def facets_of(P: VPolytope) -> HPolytope:
     """H-representation of a V-polytope: direct for simplices, enumerated otherwise."""
     if is_simplex(P):
         return simplex_hrep(P)
-    return hull_facets(P.vertices, P.dim)
-
-
-def extreme_points(points, dim) -> tuple:
-    """Filter a point set down to the vertices of its convex hull.
-
-    A point is extreme iff it can be strictly separated from the others; the
-    separation LP is bounded by construction, so each test is one small LP.
-    Input order is preserved.
-    """
-    pts = tuple(dict.fromkeys(tuple(p) for p in points))
-    out = []
-    for idx, p in enumerate(pts):
-        others = [q for i, q in enumerate(pts) if i != idx]
-        if not others:
-            out.append(p)
-            continue
-        cons = [(tuple(q) + (-1,), 0) for q in others]
-        cons.append((tuple(p) + (-1,), 1))
-        res = lp_max_assume_bounded(LpProblem(tuple(p) + (-1,), tuple(cons)))
-        if res.status != OPTIMAL:
-            raise CertificateError("separation LP must be optimal")
-        if res.optimum > 0:
-            out.append(p)
-    return tuple(out)
+    return hull_facets(P.vertices)
 
 
 # -- JSON forms ---------------------------------------------------------------

@@ -174,6 +174,19 @@ class TestWitness:
         assert obj["valid"] is False
 
 
+    def test_cut_on_a_non_simplex_past_the_hull_gate(self, capsys, tmp_path):
+        # the cut of a non-simplex reads its edges off its facets, which
+        # HULL_MAX_DIM gates: a 9-simplex with one more point
+        verts = [[0] * 9] + [[int(i == j) for j in range(9)] for i in range(9)] + [[1] * 9]
+        body = tmp_path / "body9.json"
+        body.write_text(json.dumps({"dim": 9, "vertices": verts}))
+        cut = tmp_path / "cut.json"
+        cut.write_text(json.dumps({"a": ["1"] + ["0"] * 8, "b": "0"}))
+        code, obj = run(capsys, ["witness", "--body", str(body), "--ball", "l1", "--cut", str(cut)])
+        assert code == 2
+        assert obj["error"]["type"] == "SizeLimitExceeded"
+
+
 class TestVerify:
     def test_claims3(self, capsys):
         code, obj = run(capsys, ["verify", "--claims3"])

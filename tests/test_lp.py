@@ -25,7 +25,7 @@ from minkgeom.lp import (
     lp_max_assume_bounded,
 )
 from minkgeom.errors import CertificateError
-from minkgeom.qlinalg import dot, solve_square
+from minkgeom.qlinalg import _integer_row, dot, solve_square
 
 
 def brute_force_max(objective, constraints, dim):
@@ -307,10 +307,12 @@ class TestCertificateChecks:
     FARKAS = (3, 5, 0, 0)  # 3 (x/3) + 5 (-x/5) = 0, and 3 (-1/3) + 5 (-1/5) = -2
 
     def certify(self, x=POINT, y=MULTIPLIERS, value=VALUE):
-        _certify_optimal(self.OPTIMAL_PROBLEM, x, y, value)
+        problem = self.OPTIMAL_PROBLEM
+        rows, cost = _integer_rows(problem.constraints), _integer_row(problem.objective)
+        _certify_optimal(rows, cost, x, y, value)
 
     def check_farkas(self, y):
-        _check_dual(_integer_rows(self.INFEASIBLE_PROBLEM.constraints), y, (0, 0), None)
+        _check_dual(_integer_rows(self.INFEASIBLE_PROBLEM.constraints), y, ([0, 0], 1), None)
 
     def test_solver_returns_the_certificates(self):
         out = lp_max(self.OPTIMAL_PROBLEM)

@@ -1,7 +1,8 @@
 """The package's two fixed rules: no floats anywhere, no dependencies outside the
 standard library.  Every module under src/minkgeom is parsed and scanned for float
 and complex literals, calls to float(), and absolute imports of a top-level module
-that is not in sys.stdlib_module_names.
+that is not in sys.stdlib_module_names.  The public names are pinned too:
+minkgeom.__all__ lists exactly what __init__ imports from the package.
 """
 
 import ast
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import minkgeom
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "minkgeom"
 MODULES = sorted(PACKAGE.rglob("*.py"))
@@ -54,3 +57,16 @@ def test_scanner_flags_each_rule():
         "z = 2j\n"
     )
     assert [line for line, _ in violations(source)] == [1, 2, 5, 6, 7]
+
+
+def test_all_is_what_init_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names if not alias.name.startswith("_")
+    ]
+    assert sorted(minkgeom.__all__) == sorted(set(imported))
+    assert len(set(minkgeom.__all__)) == len(minkgeom.__all__)
+    for name in minkgeom.__all__:
+        assert getattr(minkgeom, name) is not None

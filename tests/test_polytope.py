@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from minkgeom.errors import (
     DegenerateBody,
@@ -13,6 +15,7 @@ from minkgeom.errors import (
     SizeLimitExceeded,
     UnboundedRegion,
 )
+from minkgeom.lp import OPTIMAL, LpProblem, lp_max_assume_bounded
 from minkgeom.polytope import (
     Halfspace,
     HPolytope,
@@ -22,7 +25,6 @@ from minkgeom.polytope import (
     contains,
     cut_polytope,
     difference_body,
-    extreme_points,
     facets_of,
     halfspace,
     halfspace_from_obj,
@@ -58,6 +60,50 @@ def brute_force_facets(points, dim):
         if affine_rank(tight) == dim - 1:
             found.add(halfspace(a, beta))
     return tuple(sorted(found, key=lambda h: (h.normal, h.rhs)))
+
+
+def extreme_points(points, dim) -> tuple:
+    """Filter a point set down to the vertices of its convex hull, by LP.
+
+    A point is extreme iff it can be strictly separated from the others; the
+    separation LP is bounded by construction, so each test is one small LP.
+    Input order is preserved.
+    """
+    pts = tuple(dict.fromkeys(tuple(p) for p in points))
+    out = []
+    for idx, p in enumerate(pts):
+        others = [q for i, q in enumerate(pts) if i != idx]
+        if not others:
+            out.append(p)
+            continue
+        cons = [(tuple(q) + (-1,), 0) for q in others]
+        cons.append((tuple(p) + (-1,), 1))
+        res = lp_max_assume_bounded(LpProblem(tuple(p) + (-1,), tuple(cons)))
+        assert res.status == OPTIMAL, "separation LP must be optimal"
+        if res.optimum > 0:
+            out.append(p)
+    return tuple(out)
+
+
+def lp_cut(P, h):
+    """The points of P ∩ {h} by the LP route, or P when nothing is cut.
+
+    Kept points, then the crossing point of every segment from a strictly cut
+    point to a strictly kept one, filtered by extreme_points.
+    """
+    vals = [dot(h.normal, v) - h.rhs for v in P.vertices]
+    kept = [v for v, val in zip(P.vertices, vals) if val <= 0]
+    if not kept:
+        raise EmptyIntersection("the cut removes every vertex")
+    if len(kept) == len(P.vertices):
+        return P
+    pts = dict.fromkeys(kept)
+    for vi, a in zip(P.vertices, vals):
+        for vj, b in zip(P.vertices, vals):
+            if a > 0 > b:
+                t = Fraction(a, 1) / (a - b)
+                pts.setdefault(tuple(x + t * (y - x) for x, y in zip(vi, vj)))
+    return extreme_points(pts, P.dim)
 
 
 def _oracle_cases():
@@ -217,7 +263,7 @@ class TestContainsAndSubset:
         assert not contains(H, (2, 0, 0))
 
     def test_vbody_subset(self, K, cube3):
-        Hcube = hull_facets(cube3.vertices, 3)
+        Hcube = hull_facets(cube3.vertices)
         assert is_subset(K, Hcube)
         big = VPolytope(3, tuple(tuple(2 * x for x in v) for v in cube3.vertices))
         assert not is_subset(big, Hcube)
@@ -302,6 +348,96 @@ class TestCutPolytope:
         assert cut_polytope(VPolytope(3, points), cut).vertices == expected
 
 
+def _lp_entry_points_refused(monkeypatch):
+    """Make every LP in the package raise: each solve builds a _Simplex."""
+    import minkgeom.lp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(minkgeom.lp._Simplex, "__init__", refuse)
+    for name in ("lp.lp_max", "lp.lp_max_assume_bounded", "polytope.lp_max"):
+        monkeypatch.setattr(f"minkgeom.{name}", refuse)
+
+
+PRISM = tuple(p + (z,) for p in ((0, 0), (3, 0), (0, 2)) for z in (-1, 2))
+OCTAHEDRON = tuple(tuple(s if i == j else 0 for i in range(3)) for j in range(3) for s in (2, -2))
+
+
+class TestCutByEdges:
+    """cut_polytope against lp_cut, the LP route it replaced, as the oracle."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), dim=st.integers(2, 4))
+    def test_matches_the_lp_route(self, data, dim):
+        point = st.tuples(*[st.integers(-4, 4)] * dim)
+        points = data.draw(st.lists(point, min_size=dim + 1, max_size=dim + 4, unique=True))
+        assume(affine_rank(points) == dim)
+        if data.draw(st.booleans(), label="with non-vertex points"):
+            pick = st.sampled_from(points)
+            pairs = data.draw(st.lists(st.tuples(pick, pick), max_size=3))
+            points += [tuple(Fraction(x + y, 2) for x, y in zip(p, q)) for p, q in pairs if p != q]
+            points.append(tuple(Fraction(sum(c), len(points)) for c in zip(*points)))
+        P = VPolytope(dim, tuple(dict.fromkeys(points)))
+        normal = data.draw(st.tuples(*[st.integers(-3, 3)] * dim).filter(any), label="normal")
+        through = data.draw(st.none() | st.sampled_from(P.vertices), label="through")
+        rhs = data.draw(st.integers(-12, 12)) if through is None else dot(normal, through)
+        h = halfspace(normal, rhs)
+        try:
+            expected = lp_cut(P, h)
+        except EmptyIntersection:
+            with pytest.raises(EmptyIntersection):
+                cut_polytope(P, h)
+            return
+        got = cut_polytope(P, h)
+        if expected is P:
+            assert got is P
+            return
+        assert set(got.vertices) == set(expected)
+        if extreme_points(P.vertices, dim) == P.vertices:
+            assert got.vertices == expected
+
+    @pytest.mark.parametrize(
+        "points, cut",
+        [
+            (CUBE, Halfspace((1, 0, 0), 0)),
+            (CUBE + ((0, 0, 0), (Fraction(1, 2), 0, 0)), Halfspace((1, 0, 0), 0)),
+            (CUBE, Halfspace((1, 1, 1), 1)),
+            (CUBE, Halfspace((1, 1, 0), 0)),  # through four vertices
+            (PRISM, Halfspace((1, 1, 1), 2)),
+            (OCTAHEDRON + ((0, 0, 0),), Halfspace((1, 1, 1), 1)),
+        ],
+        ids=[
+            "cube-half", "cube-non-vertices", "cube-corner", "cube-diagonal", "prism", "octahedron"
+        ],
+    )
+    def test_solves_no_lp(self, monkeypatch, points, cut):
+        P = VPolytope(3, points)
+        expected = lp_cut(P, cut)
+        _lp_entry_points_refused(monkeypatch)
+        with pytest.raises(AssertionError, match="an LP was solved"):
+            lp_max_assume_bounded(LpProblem((1,), (((1,), 1),)))
+        assert set(cut_polytope(P, cut).vertices) == set(expected)
+
+    def test_diagonal_of_a_square_face_is_no_edge(self):
+        # In the square times a square pyramid (d = 5), the square at the apex
+        # lies in four facets, so its diagonal corners share d - 1 facets;
+        # only a third vertex (another corner) shows that they span no edge.
+        # Up to d = 4, d - 1 common facets of two vertices always make an edge.
+        pyramid = ((1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 1))
+        P = VPolytope(5, tuple(s + q for s in product((1, -1), repeat=2) for q in pyramid))
+        cut = Halfspace((1, 1, 0, 0, 1), 2)  # removes only the corner (1, 1) at the apex
+        Q = cut_polytope(P, cut)
+        assert set(Q.vertices) == set(lp_cut(P, cut))
+        assert (Fraction(1, 2), Fraction(1, 2), 0, 0, 1) not in Q.vertices
+
+    def test_flat_body_is_degenerate(self):
+        # a square in the plane z = 0: not a simplex, and it has no facets
+        square = VPolytope(3, ((0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0)))
+        with pytest.raises(DegenerateBody):
+            cut_polytope(square, Halfspace((1, 0, 0), 1))
+
+
 class TestDifferenceBody:
     def test_tetrahedron_difference_is_cuboctahedron(self, K):
         D = difference_body(K)
@@ -328,13 +464,13 @@ class TestDifferenceBody:
 class TestHullFacets:
     def test_square_with_interior_point(self):
         pts = ((0, 0), (2, 0), (2, 2), (0, 2), (1, 1))
-        H = hull_facets(pts, 2)
+        H = hull_facets(pts)
         got = {(f.normal, f.rhs) for f in H.facets}
         assert got == {((1, 0), 2), ((-1, 0), 0), ((0, 1), 2), ((0, -1), 0)}
 
     def test_cuboctahedron_facets(self, K):
         D = difference_body(K)
-        H = hull_facets(D.vertices, 3)
+        H = hull_facets(D.vertices)
         got = {(f.normal, f.rhs) for f in H.facets}
         axis = {(tuple(s * e for e in u), 2) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) for s in (1, -1)}
         corner = {((sx, sy, sz), 4) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)}
@@ -346,7 +482,7 @@ class TestHullFacets:
         # plane y = x supports the hull exactly along that edge, so it must
         # not be reported as a facet.
         pts = ((0, 0, 0), (1, 1, 0), (2, 2, 0), (3, 0, 0), (1, 0, 5))
-        H = hull_facets(pts, 3)
+        H = hull_facets(pts)
         for f in H.facets:
             tight = [p for p in pts if dot(f.normal, p) == f.rhs]
             assert len(tight) >= 3
@@ -356,16 +492,16 @@ class TestHullFacets:
 
     def test_degenerate_points_rejected(self):
         with pytest.raises(DegenerateBody):
-            hull_facets(((0, 0, 0), (1, 0, 0), (0, 1, 0)), 3)
+            hull_facets(((0, 0, 0), (1, 0, 0), (0, 1, 0)))
 
     def test_dimension_gate(self):
         pts = tuple(tuple(1 if i == j else 0 for j in range(9)) for i in range(9))
         pts = pts + ((0,) * 9,)
         with pytest.raises(SizeLimitExceeded):
-            hull_facets(pts, 9)
+            hull_facets(pts)
 
     def test_eight_cube_at_the_gate(self):
-        H = hull_facets(tuple(product((-1, 1), repeat=8)), 8)
+        H = hull_facets(tuple(product((-1, 1), repeat=8)))
         units = [tuple(1 if i == j else 0 for j in range(8)) for i in range(8)]
         assert {(f.normal, f.rhs) for f in H.facets} == {
             (tuple(s * x for x in u), 1) for u in units for s in (1, -1)
@@ -374,7 +510,7 @@ class TestHullFacets:
 
     @pytest.mark.parametrize("dim, points", _oracle_cases())
     def test_matches_brute_force_oracle(self, dim, points):
-        assert hull_facets(points, dim).facets == brute_force_facets(points, dim)
+        assert hull_facets(points).facets == brute_force_facets(points, dim)
 
     def test_facets_of_dispatches(self, K, cube3):
         assert {(f.normal, f.rhs) for f in facets_of(K).facets} == {
