@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificateError, DegenerateBody, DimensionMismatch, EmptyIntersection
-from .lp import OPTIMAL, LpProblem, lp_max_assume_bounded
-from .metrics import diameter, inball_scale, thickness
+from .lp import OPTIMAL, LpProblem, lp_max
+from .metrics import _check_thickness_input, diameter, inball_scale, thickness
 from .norms import PolytopalNorm, dual_support, norm
 from .polytope import (
     _cut_polytope,
@@ -90,7 +90,7 @@ def is_complete(P: VPolytope, ball: PolytopalNorm) -> CompletenessReport:
     cons = tuple((f.normal, f.rhs) for f in hull.facets)
     violation = None
     for f in body_facets.facets:
-        out = lp_max_assume_bounded(LpProblem(f.normal, cons))
+        out = lp_max(LpProblem(f.normal, cons))
         if out.status != OPTIMAL:
             raise CertificateError("ball hull support LP must be optimal")
         if out.optimum > f.rhs:
@@ -146,7 +146,11 @@ def verify_reduction_witness(P: VPolytope, h: Halfspace, ball: PolytopalNorm) ->
 
 
 def _verify_cut(P, h, ball, before, facets):
-    """verify_reduction_witness given thickness(P) as before and facets_of(P) as facets, or None."""
+    """verify_reduction_witness given thickness(P) as before and facets_of(P) as facets, or None.
+
+    The cut comes before thickness(P), so its size gate fires before any
+    thickness LP; thickness(P)'s input errors still come first.
+    """
     if len(h.normal) != P.dim:
         raise DimensionMismatch(f"cut normal of length {len(h.normal)} in dimension {P.dim}")
     vals = [dot(h.normal, v) - h.rhs for v in P.vertices]
@@ -154,12 +158,14 @@ def _verify_cut(P, h, ball, before, facets):
     if len(removed) == len(P.vertices):
         raise EmptyIntersection("the cut removes every vertex")
     if before is None:
+        _check_thickness_input(P, ball)
+    Q = _cut_polytope(P, h, facets)  # P itself when the cut removes nothing
+    if removed and affine_rank(Q.vertices) != P.dim:
+        raise DegenerateBody("the cut body is lower-dimensional")
+    if before is None:
         before, _ = thickness(P, ball, "exact_lp")
     if not removed:
         return ReductionWitness(h, removed, before, before, False)
-    Q = _cut_polytope(P, h, facets)
-    if affine_rank(Q.vertices) != P.dim:
-        raise DegenerateBody("the cut body is lower-dimensional")
     after, _ = thickness(Q, ball, "exact_lp")
     return ReductionWitness(h, removed, before, after, after == before)
 

@@ -1,30 +1,36 @@
 """Exact linear programming over the rationals.
 
 lp_max maximizes a linear objective over {x : a_i . x <= b_i} with free
-variables.  The engine is the simplex method on the standard equality form
-(free variables split into positive parts, slack columns, artificial columns
-where needed) with Bland's anti-cycling rule and lowest-index tie-breaking,
-so every run terminates and is deterministic.  The tableau is fraction-free:
-integer rows over one common denominator, pivoted by the elimination kernel
-of qlinalg, with ratios compared by cross-multiplication.  Each constraint
-row and the objective are scaled to integers once, on the way in; the
-phase cost rows, the basic values and the multipliers are computed in
-integers, and a Fraction is made only for a value that is returned.
+variables.  It solves one formulation, the dual: min b . lam subject to
+A^T lam = c, lam >= 0, a tableau with one row per primal coordinate, which
+is the smaller one whenever constraints outnumber variables.  The engine is
+the two-phase simplex method (artificial columns where needed) with Bland's
+anti-cycling rule and lowest-index tie-breaking, so every run terminates and
+is deterministic.  The tableau is fraction-free: integer rows over one
+common denominator, pivoted by the elimination kernel of qlinalg, with
+ratios compared by cross-multiplication.  Each constraint row and the
+objective are scaled to integers once, on the way in; the phase cost rows,
+the basic values and the multipliers are computed in integers, and a
+Fraction is made only for a value that is returned.
 
-Certificates are first-class: optimal outcomes carry dual multipliers
-recomputed from the final basis against the original data and checked to
-satisfy the strong duality identities exactly (y >= 0, y^T A = c,
-y^T b = optimum); infeasible outcomes carry a Farkas vector and unbounded
-outcomes an improving ray, checked the same way.  The checks run in
-integers too: the point x = X / q against each row scaled to integers
-(A_i | B_i) / lam_i, as A_i . X <= B_i * q, and y^T [A | b] as one integer
-combination of those rows (_check_dual).
+Each of the dual's three outcomes certifies a primal one (Farkas' lemma;
+Schrijver, Theory of Linear and Integer Programming, 1986, ch. 7):
 
-lp_max_assume_bounded solves the same problem through its dual (far fewer
-tableau rows when constraints outnumber variables).  It is only a shortcut
-for problems already known to be feasible and bounded: it falls back to
-lp_max when the dual is not optimal, and verifies the full certificate set,
-raising CertificateError when a check fails.
+- dual optimal: lam is the primal's dual multipliers, and the primal point
+  x solves A_B x = b_B over the final basis.  The outcome is OPTIMAL, with
+  x feasible, y = lam >= 0, y^T A = c and y^T b = c . x = optimum checked.
+- dual unbounded: the dual's ray is a Farkas vector, y >= 0 with y^T A = 0
+  and y^T b < 0, checked; the outcome is INFEASIBLE.
+- dual infeasible: minus the phase-1 multipliers is a ray r with c . r > 0
+  and A r <= 0, checked.  The primal is unbounded along r if it is
+  feasible at all, which max 0 . x decides (its dual is feasible at
+  lam = 0): an optimal outcome there, with its point checked, gives
+  UNBOUNDED with the ray r; an infeasible one is returned as it is.
+
+The checks run in integers against the original data: the point x = X / q
+against each row scaled to integers (A_i | B_i) / lam_i, as
+A_i . X <= B_i * q, and y^T [A | b] as one integer combination of those
+rows (_check_dual).  A failed check raises CertificateError.
 """
 
 from __future__ import annotations
@@ -219,8 +225,7 @@ class _Simplex:
                     if col is not None:
                         self._pivot(i, col)
         ints, g = self.cost
-        obj2 = (ints + [0] * len(self.art_row), g)
-        status, enter = self.run_phase(obj2, barred)
+        status, enter = self.run_phase((ints + [0] * len(self.art_row), g), barred)
         den = self.den
         if status == UNBOUNDED:
             ray = {enter: (1, 1)}
@@ -231,7 +236,7 @@ class _Simplex:
             return UNBOUNDED, {"ray": ray}
         zvals = {basis[i]: (tab[i][-1], den * scale[basis[i]]) for i in range(m)}
         value = exact_div(-tab[m][-1], den * self.red_scale)
-        return OPTIMAL, {"value": value, "z": zvals, "phase2_obj": obj2}
+        return OPTIMAL, {"value": value, "z": zvals}
 
     def row_multipliers(self, obj_ext):
         """Multipliers y for the original rows, from the final basis, for obj_ext = (ints, g).
@@ -264,12 +269,6 @@ class _Simplex:
         if y is None:
             raise CertificateError("basis matrix is singular")
         return y
-
-
-def _difference(z, j, k):
-    """z_j - z_k, each value an integer pair (numerator, denominator) or absent for 0."""
-    (pn, pd), (mn, md) = z.get(j, (0, 1)), z.get(k, (0, 1))
-    return exact_div(pn * md - mn * pd, pd * md)
 
 
 def _dot(ints, vec):
@@ -331,75 +330,51 @@ def _certify_optimal(rows, cost, x, y, value):
     _check_dual(rows, y, cost, value)
 
 
+def _values(z, m):
+    """The first m columns' values from a solve payload, an absent column being 0."""
+    return tuple(exact_div(*z[i]) if i in z else 0 for i in range(m))
+
+
 def lp_max(problem: LpProblem) -> LpOutcome:
-    """Solve max c . x over {A x <= b} with certified outcome."""
+    """Solve max c . x over {A x <= b} through its dual, with a certified outcome."""
     c = problem.objective
     cons = problem.constraints
     d = len(c)
     m = len(cons)
     int_rows = _integer_rows(cons)
-
-    # columns: x+ (d), x- (d), slacks (m); a slack's column is lam in its row
-    rows = []
-    for i, (ints, lam) in enumerate(int_rows):
-        a = ints[:d]
-        row = a + [-x for x in a] + [0] * m + ints[d:]
-        row[2 * d + i] = lam
-        rows.append((row, lam))
     C, g = _integer_row(c)
-    engine = _Simplex(rows, (C + [-x for x in C] + [0] * m, g))
-    status, payload = engine.solve()
-
-    if status == INFEASIBLE:
-        y = engine.row_multipliers(engine.phase1_objective())
-        _check_dual(int_rows, y, ([0] * d, 1), None)
-        return LpOutcome(status=INFEASIBLE, farkas=y)
-
-    if status == UNBOUNDED:
-        zray = payload["ray"]
-        r = tuple(_difference(zray, k, d + k) for k in range(d))
-        R, _ = _integer_row(r)
-        if _dot(C, R) <= 0:
-            raise CertificateError("certificate check failed: ray improves")
-        if any(_dot(row, R) > 0 for row, _ in int_rows):
-            raise CertificateError("certificate check failed: ray recession")
-        return LpOutcome(status=UNBOUNDED, ray=r)
-
-    z = payload["z"]
-    x = tuple(_difference(z, k, d + k) for k in range(d))
-    y = engine.row_multipliers(payload["phase2_obj"])
-    value = payload["value"]
-    _certify_optimal(int_rows, (C, g), x, y, value)
-    return LpOutcome(status=OPTIMAL, optimum=value, point=x, dual_multipliers=y)
-
-
-def lp_max_assume_bounded(problem: LpProblem) -> LpOutcome:
-    """lp_max for problems known feasible and bounded, via the dual.
-
-    The dual has one row per primal dimension, which is much smaller when
-    constraints are plentiful.  Falls back to lp_max when the assumption
-    fails (the dual is not optimal); a failed certificate check raises
-    CertificateError, as in lp_max.
-    """
-    c = problem.objective
-    cons = problem.constraints
-    d = len(c)
-    m = len(cons)
-    if m == 0:
-        return lp_max(problem)
 
     # min b . lam  s.t.  A^T lam = c, lam >= 0, as max (-b) . lam
     rows = [_integer_row([a[k] for a, _ in cons] + [c[k]]) for k in range(d)]
-    B, g = _integer_row([b for _, b in cons])
-    engine = _Simplex(rows, ([-x for x in B], g))
+    B, h = _integer_row([b for _, b in cons])
+    engine = _Simplex(rows, ([-x for x in B], h))
     status, payload = engine.solve()
-    if status != OPTIMAL:
-        return lp_max(problem)
 
-    z = payload["z"]
-    lam = tuple(exact_div(*z[i]) if i in z else 0 for i in range(m))
-    # x solves A_B x = b_B: the dual's multipliers for the objective b
-    x = engine.row_multipliers((B + [0] * len(engine.art_row), g))
-    value = -payload["value"]
-    _certify_optimal(_integer_rows(cons), _integer_row(c), x, lam, value)
-    return LpOutcome(status=OPTIMAL, optimum=value, point=x, dual_multipliers=lam)
+    if status == OPTIMAL:
+        lam = _values(payload["z"], m)
+        # x solves A_B x = b_B: the dual's multipliers for the objective b
+        x = engine.row_multipliers((B + [0] * len(engine.art_row), h))
+        value = -payload["value"]
+        _certify_optimal(int_rows, (C, g), x, lam, value)
+        return LpOutcome(status=OPTIMAL, optimum=value, point=x, dual_multipliers=lam)
+
+    if status == UNBOUNDED:
+        # a ray of the dual: lam >= 0, A^T lam = 0, b . lam < 0
+        farkas = _values(payload["ray"], m)
+        _check_dual(int_rows, farkas, ([0] * d, 1), None)
+        return LpOutcome(status=INFEASIBLE, farkas=farkas)
+
+    # the dual is infeasible: with y its phase-1 multipliers, r = -y has
+    # c . r > 0 and A r <= 0
+    r = tuple(-v for v in engine.row_multipliers(engine.phase1_objective()))
+    R, _ = _integer_row(r)
+    if _dot(C, R) <= 0:
+        raise CertificateError("certificate check failed: ray improves")
+    if any(_dot(row, R) > 0 for row, _ in int_rows):
+        raise CertificateError("certificate check failed: ray recession")
+    # r is unbounded only over a nonempty region; max 0 . x decides that,
+    # its dual being feasible at lam = 0
+    feasibility = lp_max(LpProblem((0,) * d, cons))
+    if feasibility.status == INFEASIBLE:
+        return feasibility
+    return LpOutcome(status=UNBOUNDED, ray=r)

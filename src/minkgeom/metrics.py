@@ -22,7 +22,7 @@ from .errors import (
     OriginNotInterior,
     SizeLimitExceeded,
 )
-from .lp import OPTIMAL, LpProblem, lp_max_assume_bounded
+from .lp import OPTIMAL, LpProblem, lp_max
 from .norms import PolytopalNorm, dual_support, norm
 from .polytope import (
     HPolytope,
@@ -118,7 +118,7 @@ def _thickness_exact_lp(P: VPolytope, ball: PolytopalNorm):
             continue
         seen.add(w)
         cons = vertex_rows + [(w + (0, 0), 1), (vneg(w) + (0, 0), -1)]
-        out = lp_max_assume_bounded(LpProblem(objective, tuple(cons)))
+        out = lp_max(LpProblem(objective, tuple(cons)))
         if out.status != OPTIMAL:
             raise CertificateError("thickness LP must be optimal for a full-dim body")
         if best is None or -out.optimum < best:
@@ -147,16 +147,21 @@ def _thickness_difference_body(P: VPolytope, ball: PolytopalNorm):
     return best, best_dir
 
 
+def _check_thickness_input(P, ball):
+    """Raise as thickness does for a ball of another dimension or a flat body."""
+    if P.dim != ball.dim:
+        raise DimensionMismatch(f"body dim {P.dim} vs ball dim {ball.dim}")
+    if affine_rank(P.vertices) != P.dim:
+        raise DegenerateBody("thickness needs a full-dimensional body")
+
+
 def thickness(P: VPolytope, ball: PolytopalNorm, mode: str = "exact_lp"):
     """(minimal width, witness direction) of a full-dimensional polytope.
 
     mode is one of THICKNESS_MODES; the direction's width is checked to
     reproduce the value.
     """
-    if P.dim != ball.dim:
-        raise DimensionMismatch(f"body dim {P.dim} vs ball dim {ball.dim}")
-    if affine_rank(P.vertices) != P.dim:
-        raise DegenerateBody("thickness needs a full-dimensional body")
+    _check_thickness_input(P, ball)
     if mode == "exact_lp":
         value, direction = _thickness_exact_lp(P, ball)
     elif mode == "difference_body":

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from minkgeom import completeness
 from minkgeom.cli import main
 from minkgeom.norms import l1_ball
 from minkgeom.polytope import body_to_obj
@@ -174,9 +175,12 @@ class TestWitness:
         assert obj["valid"] is False
 
 
-    def test_cut_on_a_non_simplex_past_the_hull_gate(self, capsys, tmp_path):
+    def test_cut_on_a_non_simplex_past_the_hull_gate(self, capsys, tmp_path, monkeypatch):
         # the cut of a non-simplex reads its edges off its facets, which
-        # HULL_MAX_DIM gates: a 9-simplex with one more point
+        # HULL_MAX_DIM gates: a 9-simplex with one more point.  The gate
+        # fires before P's thickness LPs, the work it bounds.
+        thickness_calls = []
+        monkeypatch.setattr(completeness, "thickness", lambda *args: thickness_calls.append(args))
         verts = [[0] * 9] + [[int(i == j) for j in range(9)] for i in range(9)] + [[1] * 9]
         body = tmp_path / "body9.json"
         body.write_text(json.dumps({"dim": 9, "vertices": verts}))
@@ -185,6 +189,7 @@ class TestWitness:
         code, obj = run(capsys, ["witness", "--body", str(body), "--ball", "l1", "--cut", str(cut)])
         assert code == 2
         assert obj["error"]["type"] == "SizeLimitExceeded"
+        assert thickness_calls == []
 
 
 class TestVerify:

@@ -9,9 +9,10 @@ from minkgeom.completeness import (
     verify_reduction_witness,
     vertex_diameter_realization,
 )
-from minkgeom.errors import EmptyIntersection
+from minkgeom.errors import DegenerateBody, EmptyIntersection
 from minkgeom.metrics import diameter, thickness
-from minkgeom.polytope import contains, halfspace, is_subset
+from minkgeom.norms import l1_ball
+from minkgeom.polytope import VPolytope, contains, halfspace, is_subset
 from minkgeom.qlinalg import dot
 
 
@@ -128,6 +129,14 @@ class TestVerifyReductionWitness:
     def test_cut_removing_everything_raises(self, K, ball3):
         with pytest.raises(EmptyIntersection):
             verify_reduction_witness(K, halfspace((1, 0, 0), -5), ball3)
+
+    def test_flat_body_refused_before_the_cut_gate(self):
+        # a flat non-simplex in dimension 9: its cut would stop at the
+        # HULL_MAX_DIM gate, but the flat body is refused first, as when
+        # thickness(P) ran before the cut
+        verts = [(0,) * 9] + [tuple(int(i == j) for j in range(9)) for i in range(8)] + [(1,) * 8 + (0,)]
+        with pytest.raises(DegenerateBody, match="thickness needs a full-dimensional body"):
+            verify_reduction_witness(VPolytope(9, tuple(verts)), halfspace((1,) + (0,) * 8, 0), l1_ball(9))
 
     def test_witness_obj(self, K, ball3):
         obj = verify_reduction_witness(K, halfspace((-1, -1, -1), 1), ball3).to_obj()

@@ -22,7 +22,6 @@ from minkgeom.lp import (
     _integer_rows,
     _Simplex,
     lp_max,
-    lp_max_assume_bounded,
 )
 from minkgeom.errors import CertificateError
 from minkgeom.qlinalg import _integer_row, dot, solve_square
@@ -77,6 +76,24 @@ def check_optimal_certificate(problem, out):
         )
     assert sum(y[i] * problem.constraints[i][1] for i in range(len(y))) == out.optimum
     assert dot(problem.objective, x) == out.optimum
+
+
+def check_farkas_certificate(problem, out):
+    assert out.status == INFEASIBLE
+    y, cons = out.farkas, problem.constraints
+    assert len(y) == len(cons)
+    assert all(m >= 0 for m in y)
+    for j in range(len(problem.objective)):
+        assert sum(y[i] * cons[i][0][j] for i in range(len(cons))) == 0
+    assert sum(y[i] * cons[i][1] for i in range(len(cons))) < 0
+
+
+def check_ray_certificate(problem, out):
+    assert out.status == UNBOUNDED
+    r = out.ray
+    assert dot(problem.objective, r) > 0
+    for a, _ in problem.constraints:
+        assert dot(a, r) <= 0
 
 
 class TestNamedProblems:
@@ -162,6 +179,14 @@ class TestNamedProblems:
         assert out.status == OPTIMAL
         assert out.optimum == 1
 
+    def test_primal_and_dual_both_infeasible(self):
+        # max x s.t. y <= -1 and y >= 1: the region is empty, and so is the
+        # dual, since no lam >= 0 has A^T lam = (1, 0).  Along (1, 0) x grows
+        # and every row holds, so only the empty region makes the answer
+        # infeasible rather than unbounded.
+        problem = LpProblem((1, 0), (((0, 1), -1), ((0, -1), -1)))
+        check_farkas_certificate(problem, lp_max(problem))
+
 
 ORACLE_CASES = pytest.mark.parametrize(
     "dim, rational, rational_objective",
@@ -217,6 +242,38 @@ class TestOracleComparison:
         assert feasible_seen >= 20
         assert infeasible_seen >= 3
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random_problems_without_a_box(self, dim):
+        # Entries lie in [-3, 3], so every minor of [A | b] of size up to 3 is
+        # under (3 * sqrt 3)^3 < 150 in absolute value (Hadamard).  A nonempty
+        # region then has a point, and a bounded optimum a vertex, whose
+        # coordinates are quotients of such minors, inside the box of size
+        # 150: the problem is infeasible iff it is infeasible in the box, and
+        # unbounded iff doubling the box raises the optimum.
+        rng = random.Random(4409 + dim)
+        seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+        for _ in range(80):
+            cons = []
+            for _ in range(rng.randint(0, 6)):
+                a = tuple(rng.randint(-3, 3) for _ in range(dim))
+                if any(a):
+                    cons.append((a, rng.randint(-3, 3)))
+            obj = tuple(rng.randint(-3, 3) for _ in range(dim))
+            problem = LpProblem(obj, tuple(cons))
+            out = lp_max(problem)
+            near = brute_force_max(obj, cons + box_constraints(dim, 150), dim)
+            far = brute_force_max(obj, cons + box_constraints(dim, 300), dim)
+            if near is None:
+                assert far is None
+                check_farkas_certificate(problem, out)
+            elif near == far:
+                check_optimal_certificate(problem, out)
+                assert out.optimum == near
+            else:
+                check_ray_certificate(problem, out)
+            seen[out.status] += 1
+        assert min(seen.values()) >= 5
+
     @ORACLE_CASES
     def test_fast_path_matches_general_path(self, dim, rational, rational_objective):
         rng = random.Random(977 + dim)
@@ -237,7 +294,7 @@ class TestOracleComparison:
             expected = brute_force_max(obj, cons, dim)
             if expected is None:
                 continue
-            fast = lp_max_assume_bounded(problem)
+            fast = lp_max(problem)
             assert fast.status == OPTIMAL
             assert fast.optimum == expected
             check_optimal_certificate(problem, fast)
@@ -246,16 +303,16 @@ class TestOracleComparison:
 
     def test_fast_path_falls_back_on_infeasible(self):
         cons = (((-1,), -2), ((1,), 1))
-        out = lp_max_assume_bounded(LpProblem((1,), cons))
+        out = lp_max(LpProblem((1,), cons))
         assert out.status == INFEASIBLE
 
     def test_fast_path_falls_back_on_unbounded(self):
-        out = lp_max_assume_bounded(LpProblem((1, 1), (((-1, 0), 0), ((0, -1), 0))))
+        out = lp_max(LpProblem((1, 1), (((-1, 0), 0), ((0, -1), 0))))
         assert out.status == UNBOUNDED
 
     def test_failed_dual_certificate_raises(self, monkeypatch):
-        # Corrupt the multipliers of the first solve only, the dual route's:
-        # a fallback to lp_max would hide the failure behind a correct answer.
+        # Corrupt the multipliers of the first solve only: a second solve
+        # would hide the failure behind a correct answer.
         original = _Simplex.row_multipliers
         calls = []
 
@@ -266,7 +323,7 @@ class TestOracleComparison:
 
         monkeypatch.setattr(_Simplex, "row_multipliers", corrupted)
         with pytest.raises(RuntimeError, match="mismatch|certificate"):
-            lp_max_assume_bounded(LpProblem((1, 2), tuple(box_constraints(2, 3))))
+            lp_max(LpProblem((1, 2), tuple(box_constraints(2, 3))))
         assert len(calls) == 1
 
 

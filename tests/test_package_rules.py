@@ -2,10 +2,13 @@
 standard library.  Every module under src/minkgeom is parsed and scanned for float
 and complex literals, calls to float(), and absolute imports of a top-level module
 that is not in sys.stdlib_module_names.  The public names are pinned too:
-minkgeom.__all__ lists exactly what __init__ imports from the package.
+minkgeom.__all__ lists exactly what __init__ imports from the package, and every
+other public top-level function or class is named in another module, so the
+library holds no helper that only the tests use.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -70,3 +73,49 @@ def test_all_is_what_init_imports():
     assert len(set(minkgeom.__all__)) == len(minkgeom.__all__)
     for name in minkgeom.__all__:
         assert getattr(minkgeom, name) is not None
+
+
+def names_used(tree):
+    """Every identifier a module reads, imports or reaches as an attribute."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def unused_public_names(sources, exported):
+    """Sorted (module, name) for each public top-level def or class of the sources
+    that is neither exported nor named in another of them."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = {module: names_used(tree) for module, tree in trees.items()}
+    return sorted(
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in exported
+        and not any(node.name in names for other, names in used.items() if other != module)
+    )
+
+
+def test_every_public_name_is_exported_or_used():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    pyproject = (PACKAGE.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = set(re.findall(r'"minkgeom\.\w+:(\w+)"', pyproject))  # console-script entry points
+    assert scripts == {"main"}
+    assert unused_public_names(sources, set(minkgeom.__all__) | scripts) == []
+
+
+def test_scanner_flags_an_unused_public_name():
+    sources = {
+        "a": "def exported(): pass\ndef used(): pass\ndef unused(): used()\nclass _Private: pass\n",
+        "b": "from .a import used\n",
+        "c": "from . import a\nclass Spare: pass\nprint(a.used)\n",
+    }
+    assert unused_public_names(sources, {"exported"}) == [("a", "unused"), ("c", "Spare")]

@@ -15,7 +15,7 @@ from minkgeom.errors import (
     SizeLimitExceeded,
     UnboundedRegion,
 )
-from minkgeom.lp import OPTIMAL, LpProblem, lp_max_assume_bounded
+from minkgeom.lp import OPTIMAL, LpProblem, lp_max
 from minkgeom.polytope import (
     Halfspace,
     HPolytope,
@@ -78,7 +78,7 @@ def extreme_points(points, dim) -> tuple:
             continue
         cons = [(tuple(q) + (-1,), 0) for q in others]
         cons.append((tuple(p) + (-1,), 1))
-        res = lp_max_assume_bounded(LpProblem(tuple(p) + (-1,), tuple(cons)))
+        res = lp_max(LpProblem(tuple(p) + (-1,), tuple(cons)))
         assert res.status == OPTIMAL, "separation LP must be optimal"
         if res.optimum > 0:
             out.append(p)
@@ -356,7 +356,7 @@ def _lp_entry_points_refused(monkeypatch):
         raise AssertionError("an LP was solved")
 
     monkeypatch.setattr(minkgeom.lp._Simplex, "__init__", refuse)
-    for name in ("lp.lp_max", "lp.lp_max_assume_bounded", "polytope.lp_max"):
+    for name in ("lp.lp_max", "polytope.lp_max"):
         monkeypatch.setattr(f"minkgeom.{name}", refuse)
 
 
@@ -416,7 +416,7 @@ class TestCutByEdges:
         expected = lp_cut(P, cut)
         _lp_entry_points_refused(monkeypatch)
         with pytest.raises(AssertionError, match="an LP was solved"):
-            lp_max_assume_bounded(LpProblem((1,), (((1,), 1),)))
+            lp_max(LpProblem((1,), (((1,), 1),)))
         assert set(cut_polytope(P, cut).vertices) == set(expected)
 
     def test_diagonal_of_a_square_face_is_no_edge(self):
