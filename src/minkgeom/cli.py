@@ -109,6 +109,8 @@ def _cmd_witness(args):
 
 def _cmd_verify(args):
     if args.claims3:
+        if args.certificate:
+            raise ValueError("--certificate applies to --prop, not to --claims3")
         report = verify_claims_dim3()
     else:
         mode = "certificate" if args.certificate else None
@@ -162,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--certificate",
         action="store_true",
-        help="use the bound-sandwich thickness certificate (the default for n >= 4)",
+        help="with --prop: use the bound-sandwich thickness certificate (the default for n >= 4)",
     )
     p.set_defaults(fn=_cmd_verify)
 

@@ -1,36 +1,44 @@
 """Exact linear programming over the rationals.
 
 lp_max maximizes a linear objective over {x : a_i . x <= b_i} with free
-variables.  It solves one formulation, the dual: min b . lam subject to
-A^T lam = c, lam >= 0, a tableau with one row per primal coordinate, which
+variables.  It solves one formulation, the dual: min b . y subject to
+A^T y = c, y >= 0, a tableau with one row per primal coordinate, which
 is the smaller one whenever constraints outnumber variables.  The engine is
 the two-phase simplex method (artificial columns where needed) with Bland's
 anti-cycling rule and lowest-index tie-breaking, so every run terminates and
 is deterministic.  The tableau is fraction-free: integer rows over one
 common denominator, pivoted by the elimination kernel of qlinalg, with
-ratios compared by cross-multiplication.  Each constraint row and the
-objective are scaled to integers once, on the way in; the phase cost rows,
-the basic values and the multipliers are computed in integers, and a
-Fraction is made only for a value that is returned.
+ratios compared by cross-multiplication.
+
+The data are scaled to integers once, on the way in: each constraint row as
+(a_i | b_i) = (A_i | B_i) / lam_i, and the objective as c = C / g.  Those
+rows are the tableau's columns as they are: in the variables
+nu_i = g * y_i / lam_i the dual reads sum_i A_i nu_i = C, nu >= 0, with
+the cost B . nu / g, and y_i = lam_i * nu_i / g maps a tableau value back.
+The same rows give the equations of the primal point and the inequalities
+every certificate is checked against.  The phase cost rows, the basic
+values and the multipliers are computed in integers, and a Fraction is made
+only for a value that is returned.
 
 Each of the dual's three outcomes certifies a primal one (Farkas' lemma;
 Schrijver, Theory of Linear and Integer Programming, 1986, ch. 7):
 
-- dual optimal: lam is the primal's dual multipliers, and the primal point
-  x solves A_B x = b_B over the final basis.  The outcome is OPTIMAL, with
-  x feasible, y = lam >= 0, y^T A = c and y^T b = c . x = optimum checked.
+- dual optimal: y is the primal's dual multipliers, and the primal point
+  x solves A_i . x = B_i over the rows of the final basis.  The outcome is
+  OPTIMAL, with x feasible, y >= 0, y^T A = c and y^T b = c . x = optimum
+  checked.
 - dual unbounded: the dual's ray is a Farkas vector, y >= 0 with y^T A = 0
   and y^T b < 0, checked; the outcome is INFEASIBLE.
 - dual infeasible: minus the phase-1 multipliers is a ray r with c . r > 0
   and A r <= 0, checked.  The primal is unbounded along r if it is
   feasible at all, which max 0 . x decides (its dual is feasible at
-  lam = 0): an optimal outcome there, with its point checked, gives
+  y = 0): an optimal outcome there, with its point checked, gives
   UNBOUNDED with the ray r; an infeasible one is returned as it is.
 
 The checks run in integers against the original data: the point x = X / q
-against each row scaled to integers (A_i | B_i) / lam_i, as
-A_i . X <= B_i * q, and y^T [A | b] as one integer combination of those
-rows (_check_dual).  A failed check raises CertificateError.
+against each scaled row as A_i . X <= B_i * q, and y^T [A | b] as one
+integer combination of those rows (_check_dual).  A failed check raises
+CertificateError.
 """
 
 from __future__ import annotations
@@ -86,44 +94,40 @@ class LpOutcome:
 
 
 class _Simplex:
-    """Standard-form tableau: max c . z  s.t.  rows * z = rhs, z >= 0.
+    """Standard-form tableau: max (K / g) . z  s.t.  sum_j A_j z_j = rhs, z >= 0.
 
-    The input is in integers, as _integer_row gives it: each row is
-    (ints, lam), the row's coefficients then its right-hand side, all times
-    its scale lam > 0, and the cost is (ints, g), c = ints / g; every
-    objective below takes that form.  The tableau is fraction-free:
-    tab holds integer rows over the common denominator den > 0, the
-    reduced-cost row last.  A row whose right-hand side is negative is
-    negated.  Its crash-basis column, lam in the integer row, is set back to
-    1 and so stands for lam * z_j (scale[j] = lam).  Positive column scalings
-    keep every sign and scale a ratio test's ratios alike, so Bland's pivots
-    are those of the rational tableau.
+    The input is in integers.  Column j is (ints, lam) as _integer_rows gives
+    a constraint row; its first len(rhs) entries are A_j, and lam is the
+    row's scale.  rhs is an integer vector and the cost is (K, g); every
+    objective below takes that form.  The tableau is fraction-free: tab
+    holds integer rows over the common denominator den > 0, the reduced-cost
+    row last.  A row whose right-hand side is negative is negated.  A column
+    whose one nonzero entry, after that flip, equals its lam is a crash-basis
+    column: its entry is set back to 1, so it stands for lam * z_j
+    (scale[j] = lam).  Positive column scalings keep every sign and scale a
+    ratio test's ratios alike, so Bland's pivots are those of the rational
+    tableau.
     """
 
-    def __init__(self, rows, cost):
-        m = len(rows)
-        n_real = len(cost[0])
+    def __init__(self, cols, rhs, cost):
+        m = len(rhs)
+        n_real = len(cols)
         self.m = m
         self.n_real = n_real
+        self.cols = cols
         self.cost = cost
-        self.flips = [1 if ints[-1] >= 0 else -1 for ints, _ in rows]
-        self.rows = [ints if f > 0 else [-x for x in ints] for (ints, _), f in zip(rows, self.flips)]
-        self.lams = [lam for _, lam in rows]
+        self.flips = [1 if v >= 0 else -1 for v in rhs]
 
         # crash basis: reuse existing unit columns, artificials for the rest
         basis = [None] * m
-        for j in range(n_real):
-            pivot_row = None
-            ok = True
-            for i in range(m):
-                x = self.rows[i][j]
-                if x:
-                    if x != self.lams[i] or pivot_row is not None:
-                        ok = False
-                        break
-                    pivot_row = i
-            if ok and pivot_row is not None and basis[pivot_row] is None:
-                basis[pivot_row] = j
+        scale = [1] * n_real
+        for j, (ints, lam) in enumerate(cols):
+            nonzero = [i for i in range(m) if ints[i]]
+            if len(nonzero) == 1:
+                i = nonzero[0]
+                if basis[i] is None and self.flips[i] * ints[i] == lam:
+                    basis[i] = j
+                    scale[j] = lam
         self.art_row = {}
         next_col = n_real
         for i in range(m):
@@ -133,14 +137,12 @@ class _Simplex:
                 next_col += 1
         self.n_total = next_col
         self.basis = basis
+        self.scale = scale + [1] * (next_col - n_real)
 
-        self.scale = [1] * next_col
         tab = []
-        for i in range(m):
-            ints = self.rows[i]
-            row = ints[:n_real] + [0] * (next_col - n_real) + ints[-1:]
+        for i, f in enumerate(self.flips):
+            row = [f * ints[i] for ints, _ in cols] + [0] * (next_col - n_real) + [f * rhs[i]]
             row[basis[i]] = 1
-            self.scale[basis[i]] = self.lams[i]
             tab.append(row)
         tab.append([0] * (next_col + 1))
         self.tab = tab
@@ -200,22 +202,23 @@ class _Simplex:
 
     def phase1_objective(self):
         """Minus the sum of the artificials."""
-        return [0] * self.n_real + [-1] * len(self.art_row), 1
+        return [0] * self.n_real + [-1] * len(self.art_row)
 
     def solve(self):
-        """Two-phase run; returns (status, payload) in the unscaled variables.
+        """Two-phase run; returns (status, value, z) in the unscaled variables.
 
-        Values come as integer pairs (numerator, denominator): z_j for each
-        basic column, or the ray's coordinate for each column it moves.
+        z holds one integer pair (numerator, denominator) per real column:
+        its value at the optimum, or its coordinate along the ray when status
+        is "unbounded".  z is None when phase 1 finds the problem infeasible.
         """
         barred = set(self.art_row)
         tab, basis, m, scale = self.tab, self.basis, self.m, self.scale
         if self.art_row:
-            status, _ = self.run_phase(self.phase1_objective(), frozenset())
+            status, _ = self.run_phase((self.phase1_objective(), 1), frozenset())
             if status != OPTIMAL:
                 raise CertificateError("phase 1 cannot be unbounded")
             if tab[m][-1]:
-                return INFEASIBLE, None
+                return INFEASIBLE, None, None
             # drive zero-level artificials out where a real pivot exists;
             # rows with none are inert (all-zero on real columns) and stay
             for i in range(m):
@@ -227,45 +230,34 @@ class _Simplex:
         ints, g = self.cost
         status, enter = self.run_phase((ints + [0] * len(self.art_row), g), barred)
         den = self.den
+        z = [(0, 1)] * self.n_total
         if status == UNBOUNDED:
-            ray = {enter: (1, 1)}
+            z[enter] = (1, 1)
             for i in range(m):
                 x = tab[i][enter]
                 if x:
-                    ray[basis[i]] = (-x * scale[enter], den * scale[basis[i]])
-            return UNBOUNDED, {"ray": ray}
-        zvals = {basis[i]: (tab[i][-1], den * scale[basis[i]]) for i in range(m)}
-        value = exact_div(-tab[m][-1], den * self.red_scale)
-        return OPTIMAL, {"value": value, "z": zvals}
+                    z[basis[i]] = (-x * scale[enter], den * scale[basis[i]])
+            return UNBOUNDED, None, z[:self.n_real]
+        for i in range(m):
+            z[basis[i]] = (tab[i][-1], den * scale[basis[i]])
+        return OPTIMAL, exact_div(-tab[m][-1], den * self.red_scale), z[:self.n_real]
 
-    def row_multipliers(self, obj_ext):
-        """Multipliers y for the original rows, from the final basis, for obj_ext = (ints, g).
+    def row_multipliers(self, costs):
+        """Multipliers y of the rows of sum_j A_j z_j = rhs over the final basis.
 
-        Solves A_B^T y = c_B, c = ints / g.  Basic column j gives the
-        equation sum_i flip_i * F_ij / lam_i * y_i = ints[j] / g, F the
-        flipped integer rows.  Each coefficient is reduced by a gcd and the
-        equation multiplied by the lcm of the reduced denominators, so
-        solve_square gets the least integer form of each equation.
+        Solves A_j . y = costs[j] for each basic column j, with A_j the
+        column as it was given; an artificial column, the unit vector of its
+        row, gives flip * y_row = costs[j].
         """
-        m, rows, lams, flips = self.m, self.rows, self.lams, self.flips
-        obj, g = obj_ext
-        mat, rhs = [], []
+        m, flips = self.m, self.flips
+        mat = []
         for j in self.basis:
             if j < self.n_real:
-                nums, dens = [], []
-                for f, row, lam in zip(flips, rows, lams):
-                    h = math.gcd(row[j], lam)
-                    nums.append(f * row[j] // h)
-                    dens.append(lam // h)
+                mat.append(self.cols[j][0][:m])
             else:
                 r = self.art_row[j]
-                nums = [flips[r] if i == r else 0 for i in range(m)]
-                dens = [1] * m
-            h = math.gcd(obj[j], g)
-            lcm = math.lcm(g // h, *dens)
-            mat.append([x * (lcm // q) for x, q in zip(nums, dens)])
-            rhs.append(obj[j] // h * (lcm // (g // h)))
-        y = solve_square(mat, rhs)
+                mat.append([flips[r] if i == r else 0 for i in range(m)])
+        y = solve_square(mat, [costs[j] for j in self.basis])
         if y is None:
             raise CertificateError("basis matrix is singular")
         return y
@@ -330,39 +322,30 @@ def _certify_optimal(rows, cost, x, y, value):
     _check_dual(rows, y, cost, value)
 
 
-def _values(z, m):
-    """The first m columns' values from a solve payload, an absent column being 0."""
-    return tuple(exact_div(*z[i]) if i in z else 0 for i in range(m))
-
-
 def lp_max(problem: LpProblem) -> LpOutcome:
     """Solve max c . x over {A x <= b} through its dual, with a certified outcome."""
-    c = problem.objective
     cons = problem.constraints
-    d = len(c)
-    m = len(cons)
+    d = len(problem.objective)
     int_rows = _integer_rows(cons)
-    C, g = _integer_row(c)
+    C, g = _integer_row(problem.objective)
+    B = [ints[-1] for ints, _ in int_rows]
 
-    # min b . lam  s.t.  A^T lam = c, lam >= 0, as max (-b) . lam
-    rows = [_integer_row([a[k] for a, _ in cons] + [c[k]]) for k in range(d)]
-    B, h = _integer_row([b for _, b in cons])
-    engine = _Simplex(rows, ([-x for x in B], h))
-    status, payload = engine.solve()
+    # min b . y  s.t.  A^T y = c, y >= 0, as max (-B / g) . nu over
+    # sum_i A_i nu_i = C, nu >= 0, with y_i = lam_i * nu_i / g
+    engine = _Simplex(int_rows, C, ([-x for x in B], g))
+    status, value, z = engine.solve()
 
-    if status == OPTIMAL:
-        lam = _values(payload["z"], m)
-        # x solves A_B x = b_B: the dual's multipliers for the objective b
-        x = engine.row_multipliers((B + [0] * len(engine.art_row), h))
-        value = -payload["value"]
-        _certify_optimal(int_rows, (C, g), x, lam, value)
-        return LpOutcome(status=OPTIMAL, optimum=value, point=x, dual_multipliers=lam)
-
-    if status == UNBOUNDED:
-        # a ray of the dual: lam >= 0, A^T lam = 0, b . lam < 0
-        farkas = _values(payload["ray"], m)
-        _check_dual(int_rows, farkas, ([0] * d, 1), None)
-        return LpOutcome(status=INFEASIBLE, farkas=farkas)
+    if status != INFEASIBLE:
+        y = tuple(exact_div(lam * p, g * q) if p else 0 for (p, q), (_, lam) in zip(z, int_rows))
+        if status == UNBOUNDED:
+            # a ray of the dual: y >= 0, A^T y = 0, b . y < 0
+            _check_dual(int_rows, y, ([0] * d, 1), None)
+            return LpOutcome(status=INFEASIBLE, farkas=y)
+        # x solves A_i . x = B_i over the basic rows: the dual's multipliers for the cost B
+        x = engine.row_multipliers(B + [0] * len(engine.art_row))
+        optimum = -value
+        _certify_optimal(int_rows, (C, g), x, y, optimum)
+        return LpOutcome(status=OPTIMAL, optimum=optimum, point=x, dual_multipliers=y)
 
     # the dual is infeasible: with y its phase-1 multipliers, r = -y has
     # c . r > 0 and A r <= 0
@@ -373,7 +356,7 @@ def lp_max(problem: LpProblem) -> LpOutcome:
     if any(_dot(row, R) > 0 for row, _ in int_rows):
         raise CertificateError("certificate check failed: ray recession")
     # r is unbounded only over a nonempty region; max 0 . x decides that,
-    # its dual being feasible at lam = 0
+    # its dual being feasible at y = 0
     feasibility = lp_max(LpProblem((0,) * d, cons))
     if feasibility.status == INFEASIBLE:
         return feasibility

@@ -6,12 +6,13 @@ pass/fail lines are printed with capture suspended so they reach the real
 stdout in any run mode.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minkgeom import cli
@@ -30,7 +31,7 @@ from minkgeom.polytope import (
 from minkgeom.qlinalg import dot, vscale
 from minkgeom.walsh import is_hadamard, walsh_matrix
 
-from conftest import random_simplex
+from conftest import random_body, random_simplex
 
 _reports = {}
 
@@ -255,3 +256,37 @@ def test_criterion_6_property_suites(announce):
               f"hadamard k=1..6 exhaustive ({hadamard_cases}), "
               + ", ".join(f"{k}={v}" for k, v in sorted(counters.items()))
               + f", cube realizes-but-incomplete: {cube_check}")
+
+
+HEXAGON = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+HEXAGON_SIDES = ((1, 1), (-1, -1), (1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def hexagonal_ball(dim):
+    """The norm max(|x|, |y|, |x + y|, |z|): a hexagon in the plane, its prism in 3-space."""
+    ends = ((),) if dim == 2 else ((1,), (-1,))
+    facets = tuple(halfspace(a + (0,) * (dim - 2), 1) for a in HEXAGON_SIDES)
+    if dim == 3:
+        facets += (halfspace((0, 0, 1), 1), halfspace((0, 0, -1), 1))
+    return custom_ball(VPolytope(dim, tuple(p + z for p in HEXAGON for z in ends)), HPolytope(dim, facets))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), dim=st.integers(2, 3), seed=st.integers(0, 10**6), step=st.integers(1, 99))
+def test_thickness_modes_agree_on_rational_cut_bodies(data, dim, seed, step):
+    # A cut's crossings are rational vertices, one denominator per vertex, so
+    # each LP row of exact_lp carries its own scale: the case where scaling
+    # per constraint and per coordinate part ways.
+    P = random_body(random.Random(seed), dim, dim + 1 + data.draw(st.integers(0, 2)))
+    normal = data.draw(st.tuples(*[st.integers(-5, 5)] * dim).filter(any))
+    heights = [dot(normal, v) for v in P.vertices]
+    lo, hi = min(heights), max(heights)
+    Q = cut_polytope(P, halfspace(normal, lo + (hi - lo) * Fraction(step, 100)))
+    crossings = set(Q.vertices) - set(P.vertices)
+    assume(len({math.lcm(*(Fraction(x).denominator for x in v)) for v in crossings}) > 1)
+    for ball in (l1_ball(dim), linf_ball(dim), hexagonal_ball(dim)):
+        t_lp, u_lp = thickness(Q, ball, "exact_lp")
+        t_db, u_db = thickness(Q, ball, "difference_body")
+        assert t_lp == t_db
+        assert width(Q, u_lp, ball) == t_lp
+        assert width(Q, u_db, ball) == t_lp

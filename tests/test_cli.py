@@ -222,6 +222,13 @@ class TestVerify:
         with pytest.raises(SystemExit):
             main(["verify", "--claims3", "--prop", "2"])
 
+    def test_certificate_with_claims3_is_an_error_object(self, capsys):
+        # the dimension-3 report has no certificate mode; the flag must not be dropped silently
+        code, obj = run(capsys, ["verify", "--claims3", "--certificate"])
+        assert code == 2
+        assert obj["error"]["type"] == "ValueError"
+        assert "--certificate" in obj["error"]["message"]
+
 
 class TestErrors:
     def test_missing_file(self, capsys):

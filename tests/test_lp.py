@@ -188,12 +188,19 @@ class TestNamedProblems:
         check_farkas_certificate(problem, lp_max(problem))
 
 
-ORACLE_CASES = pytest.mark.parametrize(
-    "dim, rational, rational_objective",
-    [(2, False, False), (3, False, False), (2, True, False), (3, True, False),
-     (2, True, True), (3, True, True)],
-    ids=["2", "3", "2-rational", "3-rational", "2-rational-objective", "3-rational-objective"],
-)
+ORACLE_CASES = [
+    ((2, False, False), "2"), ((3, False, False), "3"), ((2, True, False), "2-rational"),
+    ((3, True, False), "3-rational"), ((2, True, True), "2-rational-objective"),
+    ((3, True, True), "3-rational-objective"),
+]
+
+# One seeded draw of bounded problems: (seed base, box bound, problems, added
+# rows, |a_ij| bound, range of b, objective bound, fewest feasible, fewest
+# infeasible).  With b >= 0 the origin is feasible, so every problem is.
+ROW_DRAWS = [
+    ((20260819, 5, 60, 4, 3, (-3, 3), 3, 20, 3), ""),
+    ((977, 6, 40, 3, 2, (0, 5), 4, 25, 0), "-seed977"),
+]
 
 
 def draw_objective(rng, dim, bound, rational_objective):
@@ -206,41 +213,44 @@ def draw_objective(rng, dim, bound, rational_objective):
 
 
 class TestOracleComparison:
-    @ORACLE_CASES
-    def test_random_bounded_problems(self, dim, rational, rational_objective):
-        rng = random.Random(20260819 + dim)
-        box = box_constraints(dim, 5)
+    @pytest.mark.parametrize(
+        "dim, rational, rational_objective, draw",
+        [
+            pytest.param(*case, draw, id=case_id + draw_id)
+            for draw, draw_id in ROW_DRAWS
+            for case, case_id in ORACLE_CASES
+        ],
+    )
+    def test_random_bounded_problems(self, dim, rational, rational_objective, draw):
+        seed, bound, problems, rows, coef, (lo, hi), obj_bound, min_feasible, min_infeasible = draw
+        rng = random.Random(seed + dim)
+        box = box_constraints(dim, bound)
         feasible_seen = 0
         infeasible_seen = 0
-        for _ in range(60):
+        for _ in range(problems):
             cons = list(box)
-            for _ in range(4):
-                a = tuple(rng.randint(-3, 3) for _ in range(dim))
+            for _ in range(rows):
+                a = tuple(rng.randint(-coef, coef) for _ in range(dim))
                 if not any(a):
                     continue
-                b = rng.randint(-3, 3)
+                b = rng.randint(lo, hi)
                 if rational and rng.random() < 0.5:
                     a, b = with_denominator(rng, a, b)
                 cons.append((a, b))
-            obj = draw_objective(rng, dim, 3, rational_objective)
+            obj = draw_objective(rng, dim, obj_bound, rational_objective)
             problem = LpProblem(obj, tuple(cons))
             expected = brute_force_max(obj, cons, dim)
             out = lp_max(problem)
             if expected is None:
                 infeasible_seen += 1
-                assert out.status == INFEASIBLE
-                y = out.farkas
-                assert all(m >= 0 for m in y)
-                for j in range(dim):
-                    assert sum(y[i] * cons[i][0][j] for i in range(len(cons))) == 0
-                assert sum(y[i] * cons[i][1] for i in range(len(cons))) < 0
+                check_farkas_certificate(problem, out)
             else:
                 feasible_seen += 1
                 assert out.status == OPTIMAL
                 assert out.optimum == expected
                 check_optimal_certificate(problem, out)
-        assert feasible_seen >= 20
-        assert infeasible_seen >= 3
+        assert feasible_seen >= min_feasible
+        assert infeasible_seen >= min_infeasible
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_random_problems_without_a_box(self, dim):
@@ -274,57 +284,38 @@ class TestOracleComparison:
             seen[out.status] += 1
         assert min(seen.values()) >= 5
 
-    @ORACLE_CASES
-    def test_fast_path_matches_general_path(self, dim, rational, rational_objective):
-        rng = random.Random(977 + dim)
-        box = box_constraints(dim, 6)
-        checked = 0
-        for _ in range(40):
-            cons = list(box)
-            for _ in range(3):
-                a = tuple(rng.randint(-2, 2) for _ in range(dim))
-                if not any(a):
-                    continue
-                b = rng.randint(0, 5)
-                if rational and rng.random() < 0.5:
-                    a, b = with_denominator(rng, a, b)
-                cons.append((a, b))
-            obj = draw_objective(rng, dim, 4, rational_objective)
-            problem = LpProblem(obj, tuple(cons))
-            expected = brute_force_max(obj, cons, dim)
-            if expected is None:
-                continue
-            fast = lp_max(problem)
-            assert fast.status == OPTIMAL
-            assert fast.optimum == expected
-            check_optimal_certificate(problem, fast)
-            checked += 1
-        assert checked >= 25
-
-    def test_fast_path_falls_back_on_infeasible(self):
-        cons = (((-1,), -2), ((1,), 1))
-        out = lp_max(LpProblem((1,), cons))
-        assert out.status == INFEASIBLE
-
-    def test_fast_path_falls_back_on_unbounded(self):
-        out = lp_max(LpProblem((1, 1), (((-1, 0), 0), ((0, -1), 0))))
-        assert out.status == UNBOUNDED
-
     def test_failed_dual_certificate_raises(self, monkeypatch):
         # Corrupt the multipliers of the first solve only: a second solve
         # would hide the failure behind a correct answer.
         original = _Simplex.row_multipliers
         calls = []
 
-        def corrupted(engine, obj_ext):
-            calls.append(obj_ext)
-            pi = original(engine, obj_ext)
+        def corrupted(engine, costs):
+            calls.append(costs)
+            pi = original(engine, costs)
             return tuple(p + 1 for p in pi) if len(calls) == 1 else pi
 
         monkeypatch.setattr(_Simplex, "row_multipliers", corrupted)
         with pytest.raises(RuntimeError, match="mismatch|certificate"):
             lp_max(LpProblem((1, 2), tuple(box_constraints(2, 3))))
         assert len(calls) == 1
+
+    def test_each_constraint_row_is_scaled_once(self, monkeypatch):
+        # The scaled constraint rows are the tableau's columns as well as the
+        # certificate's rows: no transposed row (one entry per constraint,
+        # then c_k) is scaled on its own.
+        lengths = []
+
+        def recording(row):
+            lengths.append(len(row))
+            return _integer_row(row)
+
+        monkeypatch.setattr("minkgeom.lp._integer_row", recording)
+        extra = (((1, 1), Fraction(7, 2)), ((1, -2), 4), ((Fraction(-1, 3), 1), 2))
+        out = lp_max(LpProblem((1, 2), tuple(box_constraints(2, 3)) + extra))
+        assert out.status == OPTIMAL
+        assert lengths.count(2 + 1) == 7
+        assert 7 + 1 not in lengths
 
 
 F = Fraction
