@@ -5,7 +5,9 @@ body) and HPolytope (an intersection of halfspaces a . x <= b with primitive
 integer normals).  Conversions are explicit and exact: simplex_hrep for
 simplices, and for anything else hull_facets, an integer double description
 whose every facet is checked before it is returned.  Its gate bounds the
-dimension, not the number of facets or of intermediate rays.
+dimension, not the number of facets or of intermediate rays.  Both take a
+simplex's facets from _simplex_facets: one fraction-free elimination whose
+inverse holds every barycentric coordinate at once.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .qlinalg import (
     fmt_rat,
     fmt_vec,
     gauss_rank,
-    kernel_vector,
     parse_rat,
     parse_vec,
     primitive_normal,
@@ -128,23 +129,33 @@ def simplex_hrep(P: VPolytope) -> HPolytope:
         raise DegenerateBody(
             f"a simplex in dimension {d} has {d + 1} vertices, got {len(P.vertices)}"
         )
-    if affine_rank(P.vertices) != d:
+    pairs = _simplex_facets(P.vertices)
+    if pairs is None:
         raise DegenerateBody("vertices are affinely dependent")
     facets = []
-    for k in range(d + 1):
-        rows = [list(v) + [-1] for i, v in enumerate(P.vertices) if i != k]
-        kv = kernel_vector(rows, d + 1)
-        if kv is None:
-            raise DegenerateBody("facet hyperplane is not unique")
-        a, beta = kv[:d], kv[d]
-        val = dot(a, P.vertices[k])
-        if val == beta:
-            raise DegenerateBody("opposite vertex lies on the facet hyperplane")
-        if val > beta:
-            a, beta = vneg(a), -beta
+    for a, beta in pairs:
         g = math.gcd(*a)
         facets.append(Halfspace(tuple(x // g for x in a), exact_div(beta, g)))
     return HPolytope(d, tuple(facets))
+
+
+def _simplex_facets(points):
+    """Integer pairs (a, beta), the facet a . x <= beta opposite each of d + 1
+    points in dimension d, in order; None if the points are affinely dependent.
+
+    One fraction-free Gauss-Jordan elimination of the rows (p_k, 1 | e_k)
+    leaves den times the inverse of the scaled left block on the right.  Its
+    column k is a positive multiple of the barycentric coordinate lambda_k,
+    the affine function that is 1 at p_k and 0 at the other points, so
+    lambda_k >= 0 reads a . x <= beta with point k strictly inside.
+    """
+    n = len(points)
+    rows, pivots, _ = _forward_eliminate(
+        [list(p) + [1] + [int(i == k) for i in range(n)] for k, p in enumerate(points)]
+    )
+    if pivots != list(range(n)):
+        return None
+    return [(tuple(-row[n + k] for row in rows[:-1]), rows[-1][n + k]) for k in range(n)]
 
 
 def contains(H: HPolytope, x) -> bool:
@@ -273,11 +284,10 @@ def hull_facets(points) -> HPolytope:
         )
     rows = [vneg(p) + (1,) for p in ipts]  # a ray (a, beta) has slack ray . (-p, 1) at p
     rays = []  # (ray, bitmask of the points it is tight at)
-    for j in basis:
-        # the facet through the other basis points, oriented to keep point j
-        r = kernel_vector([rows[i] for i in basis if i != j], dim + 1)
-        g = math.gcd(*r) if dot(r, rows[j]) > 0 else -math.gcd(*r)
-        rays.append((tuple(x // g for x in r), sum(1 << i for i in basis if i != j)))
+    # the basis simplex's facets: each is tight at the other basis points and keeps point j
+    for j, (a, beta) in zip(basis, _simplex_facets([ipts[i] for i in basis])):
+        g = math.gcd(*a, beta)
+        rays.append((tuple(x // g for x in a + (beta,)), sum(1 << i for i in basis if i != j)))
     for i, row in enumerate(rows):
         if i in basis:
             continue

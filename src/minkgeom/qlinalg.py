@@ -8,10 +8,10 @@ tuples.  No floats are accepted anywhere.
 
 All elimination runs on one fraction-free Gauss-Jordan kernel, _pivot_step:
 integer rows over one common denominator, with exact integer division by the
-previous pivot.  gauss_rank, solve_square and kernel_vector scale each row
-to integers and call it column by column; the simplex tableau of lp calls it
-once per pivot; hull_facets takes the facets of its starting simplex from
-kernel_vector and its affine basis from _forward_eliminate.
+previous pivot.  gauss_rank and solve_square scale each row to integers and
+call it column by column through _forward_eliminate; the simplex tableau of lp
+calls it once per pivot; polytope runs _forward_eliminate for the affine basis
+of hull_facets and, on the rows (p, 1 | e_k), for the facets of a simplex.
 """
 
 from __future__ import annotations
@@ -193,30 +193,6 @@ def solve_square(mat, rhs):
     if pivots != list(range(n)):
         return None
     return tuple(exact_div(rows[i][n], den) for i in range(n))
-
-
-def kernel_vector(mat, ncols=None):
-    """One nonzero integer vector in the kernel of mat, or None if the columns are independent.
-
-    Deterministic: the free variable chosen is the lowest-index non-pivot
-    column, and its coordinate is positive.
-    """
-    if ncols is None:
-        ncols = len(mat[0]) if mat else 0
-    if not mat:
-        if ncols == 0:
-            return None
-        return unit_vec(ncols, 0)
-    rows, pivots, den = _forward_eliminate(mat)
-    pivot_set = set(pivots)
-    free = next((c for c in range(ncols) if c not in pivot_set), None)
-    if free is None:
-        return None
-    out = [0] * ncols
-    out[free] = den
-    for r, c in enumerate(pivots):
-        out[c] = -rows[r][free]
-    return tuple(out)
 
 
 def primitive_normal(vec):

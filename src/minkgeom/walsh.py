@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .errors import SizeLimitExceeded
 
-WALSH_MAX_K = 16
+WALSH_MAX_K = 10
 
 
 def walsh_matrix(k: int):

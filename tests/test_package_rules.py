@@ -3,8 +3,9 @@ standard library.  Every module under src/minkgeom is parsed and scanned for flo
 and complex literals, calls to float(), and absolute imports of a top-level module
 that is not in sys.stdlib_module_names.  The public names are pinned too:
 minkgeom.__all__ lists exactly what __init__ imports from the package, and every
-other public top-level function or class is named in another module, so the
-library holds no helper that only the tests use.
+other public top-level function or class is named in another module, and every
+private one is named somewhere besides its own definition, so the library holds
+no helper that only the tests use or that nothing calls.
 """
 
 import ast
@@ -88,9 +89,10 @@ def names_used(tree):
     return used
 
 
-def unused_public_names(sources, exported):
-    """Sorted (module, name) for each public top-level def or class of the sources
-    that is neither exported nor named in another of them."""
+def unused_names(sources, exported):
+    """Sorted (module, name) for each top-level def or class of the sources that no
+    other code names: a public one neither exported nor named in another module,
+    a private (_-prefixed) one named nowhere besides its own definition."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     used = {module: names_used(tree) for module, tree in trees.items()}
     return sorted(
@@ -98,9 +100,12 @@ def unused_public_names(sources, exported):
         for module, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
         and node.name not in exported
-        and not any(node.name in names for other, names in used.items() if other != module)
+        and not any(
+            node.name in names
+            for other, names in used.items()
+            if other != module or node.name.startswith("_")
+        )
     )
 
 
@@ -109,13 +114,13 @@ def test_every_public_name_is_exported_or_used():
     pyproject = (PACKAGE.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
     scripts = set(re.findall(r'"minkgeom\.\w+:(\w+)"', pyproject))  # console-script entry points
     assert scripts == {"main"}
-    assert unused_public_names(sources, set(minkgeom.__all__) | scripts) == []
+    assert unused_names(sources, set(minkgeom.__all__) | scripts) == []
 
 
 def test_scanner_flags_an_unused_public_name():
     sources = {
         "a": "def exported(): pass\ndef used(): pass\ndef unused(): used()\nclass _Private: pass\n",
-        "b": "from .a import used\n",
+        "b": "from .a import used\ndef _helper(): pass\nprint(_helper)\n",
         "c": "from . import a\nclass Spare: pass\nprint(a.used)\n",
     }
-    assert unused_public_names(sources, {"exported"}) == [("a", "unused"), ("c", "Spare")]
+    assert unused_names(sources, {"exported"}) == [("a", "_Private"), ("a", "unused"), ("c", "Spare")]

@@ -35,9 +35,27 @@ from minkgeom.polytope import (
     simplex_hrep,
     support,
 )
-from minkgeom.qlinalg import affine_rank, dot, kernel_vector, vneg
+from minkgeom.qlinalg import _forward_eliminate, affine_rank, dot, vneg
+from minkgeom.walsh import walsh_matrix
 
 from conftest import random_body, random_simplex
+
+
+def kernel_vector(mat, ncols):
+    """One nonzero integer vector in the kernel of mat, or None if the columns are independent.
+
+    The free variable is the lowest-index non-pivot column, with coordinate
+    den > 0; the pivot coordinates are read off the reduced rows.
+    """
+    rows, pivots, den = _forward_eliminate(mat)
+    free = next((c for c in range(ncols) if c not in pivots), None)
+    if free is None:
+        return None
+    out = [0] * ncols
+    out[free] = den
+    for r, c in enumerate(pivots):
+        out[c] = -rows[r][free]
+    return tuple(out)
 
 
 def brute_force_facets(points, dim):
@@ -229,12 +247,17 @@ class TestSimplexHrep:
                     assert val == f.rhs
 
     def test_random_simplices_roundtrip(self):
-        import random
-
         rng = random.Random(42)
-        for dim in (2, 3, 4):
+        for dim in (1, 2, 3, 4, 5):
             for _ in range(5):
-                P = random_simplex(rng, dim)
+                while True:
+                    verts = tuple(
+                        tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(dim))
+                        for _ in range(dim + 1)
+                    )
+                    if len(set(verts)) == dim + 1 and affine_rank(verts) == dim:
+                        break
+                P = VPolytope(dim, verts)
                 H = simplex_hrep(P)
                 assert len(H.facets) == dim + 1
                 for v in P.vertices:
@@ -242,10 +265,23 @@ class TestSimplexHrep:
                 for k, f in enumerate(H.facets):
                     tight = [j for j, v in enumerate(P.vertices) if dot(f.normal, v) == f.rhs]
                     assert tight == [j for j in range(dim + 1) if j != k]
+                by_normal = sorted(H.facets, key=lambda h: (h.normal, h.rhs))
+                assert tuple(by_normal) == brute_force_facets(verts, dim)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_walsh_facet_k_is_minus_vertex_k(self, n):
+        # Hadamard orthogonality gives v_j . v_k = -1 for j != k, so the facet
+        # opposite v_k is -v_k . x <= 1; walsh_simplex is gated below n = 5
+        verts = tuple(row[1:] for row in walsh_matrix(n))
+        H = simplex_hrep(VPolytope(2**n - 1, verts))
+        assert H.facets == tuple(Halfspace(vneg(v), 1) for v in verts)
 
     def test_non_simplex_rejected(self, cube3):
         with pytest.raises(DegenerateBody):
             simplex_hrep(cube3)
+        coplanar = VPolytope(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)))
+        with pytest.raises(DegenerateBody, match="affinely dependent"):
+            simplex_hrep(coplanar)
 
     def test_is_simplex(self, K, cube3):
         assert is_simplex(K)

@@ -14,7 +14,6 @@ from minkgeom.qlinalg import (
     fmt_rat,
     fmt_vec,
     gauss_rank,
-    kernel_vector,
     parse_rat,
     parse_vec,
     primitive_normal,
@@ -178,31 +177,6 @@ class TestRankAndSolve:
         else:
             assert tuple(dot(row, x) for row in mat) == tuple(rhs)
             assert not any(isinstance(v, float) for v in x)
-
-
-class TestKernelVector:
-    def test_independent_columns_no_kernel(self):
-        assert kernel_vector(((1, 0), (0, 1)), 2) is None
-
-    def test_kernel_of_rank_deficient(self):
-        kv = kernel_vector(((1, 1, 0),), 3)
-        assert kv is not None
-        assert dot((1, 1, 0), kv) == 0
-        assert any(kv)
-
-    def test_kernel_exactness(self):
-        # Hyperplane through three points: the returned vector must consist of
-        # ints and Fractions only, never floats.
-        rows = ((-2, -2, 0, -1), (-2, 0, -2, -1), (0, -2, -2, -1))
-        kv = kernel_vector(rows, 4)
-        assert kv is not None
-        for row in rows:
-            assert dot(row, kv) == 0
-        assert not any(isinstance(v, float) for v in kv)
-
-    def test_deterministic(self):
-        rows = ((1, 2, 3),)
-        assert kernel_vector(rows, 3) == kernel_vector(rows, 3)
 
 
 class TestPrimitiveNormal:
