@@ -26,7 +26,7 @@ for n in (2, 3):
 # the lower thickness bound, a single width the matching upper bound, and
 # the completeness decision is skipped since the ball hull there has 2^15
 # facets.
-rep = verify_proposition(4, "certificate")
+rep = verify_proposition(4)
 print(
     f"4  {rep.dim:3d}  {2**4:8d}  {str(rep.diameter):>8s}  {str(rep.thickness):>9s}"
     f"  {str(rep.ratio):>5s}  {'n/a':>8s}  {'valid' if rep.witness.valid else '-'}"

@@ -28,7 +28,10 @@ from .walsh import walsh_matrix
 
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_body(path) -> VPolytope:
@@ -108,13 +111,7 @@ def _cmd_witness(args):
 
 
 def _cmd_verify(args):
-    if args.claims3:
-        if args.certificate:
-            raise ValueError("--certificate applies to --prop, not to --claims3")
-        report = verify_claims_dim3()
-    else:
-        mode = "certificate" if args.certificate else None
-        report = verify_proposition(args.prop, mode)
+    report = verify_claims_dim3() if args.claims3 else verify_proposition(args.prop)
     return report.to_obj(), 0 if report.ok else 1
 
 
@@ -161,11 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--claims3", action="store_true", help="dimension-3 tetrahedron report")
     group.add_argument("--prop", type=int, help="Walsh simplex report for this n")
-    p.add_argument(
-        "--certificate",
-        action="store_true",
-        help="with --prop: use the bound-sandwich thickness certificate (the default for n >= 4)",
-    )
     p.set_defaults(fn=_cmd_verify)
 
     for sp in sub.choices.values():

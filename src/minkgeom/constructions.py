@@ -11,10 +11,12 @@ coordinate reflection, the standard tetrahedron with vertices at four
 alternating corners of the cube.
 
 verify_claims_dim3 checks the dimension-3 story end to end;
-verify_proposition checks the general-n statement either fully exactly
-(n <= 3) or via a certificate sandwich (any n up to the gate) whose lower
-bound is twice the inscribed-ball scale and whose upper bound is the width
-along one coordinate direction.
+verify_proposition checks the general-n statement, its route fixed by n: the
+thickness LP family and the completeness decision for n <= 3, and for n = 4 a
+certificate sandwich whose lower bound is twice the inscribed-ball scale and
+whose upper bound is the width along one coordinate direction.  Each report
+hands the thickness it has certified, and the simplex's facets, to the
+reduction witness check, so no certified quantity is computed twice.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .completeness import is_complete, verify_reduction_witness
+from .completeness import _verify_cut, is_complete
 from .errors import CertificateError, DegenerateBody, SizeLimitExceeded
 from .metrics import diameter, inball_scale, thickness, width
 from .norms import l1_ball, norm, point_hyperplane_distance
@@ -146,11 +148,12 @@ def verify_claims_dim3() -> ClaimsReport:
         )
     )
 
-    scale = inball_scale(simplex_hrep(K), ball)
+    hrep = simplex_hrep(K)
+    scale = inball_scale(hrep, ball)
     items.append(_item("inball_scale", "1", fmt_rat(scale), scale == 1))
 
     cut = Halfspace((-1, -1, -1), 1)
-    witness = verify_reduction_witness(K, cut, ball)
+    witness = _verify_cut(K, cut, ball, t_lp, hrep)
     items.append(
         _item(
             "reduction_witness",
@@ -198,22 +201,18 @@ class PropositionReport:
         }
 
 
-def verify_proposition(n: int, mode: str = None) -> PropositionReport:
+def verify_proposition(n: int) -> PropositionReport:
     """Check the full statement for the dimension 2^n - 1 simplex.
 
-    mode "exact" (default for n <= 3) computes the thickness by LP and runs
-    the completeness decision; mode "certificate" (default for n = 4)
-    replaces the thickness LP family's minimum with a sandwich of two cheap
-    exact bounds and skips the completeness decision, whose ball hull has
-    2^(2^n - 1) facets.
+    n fixes the route.  Mode "exact" (n <= 3) computes the thickness by LP
+    and runs the completeness decision; mode "certificate" (n = 4) replaces
+    the thickness LP family's minimum with a sandwich of two cheap exact
+    bounds and skips the completeness decision, whose ball hull has
+    2^(2^n - 1) facets.  The reduction witness takes its thickness_before
+    from the report: the LP value, or the sandwich value when its bounds
+    meet; unmet bounds prove nothing, so the witness then solves the LP.
     """
-    if mode is None:
-        mode = "exact" if n <= 3 else "certificate"
-    if mode not in ("exact", "certificate"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact" and n > 3:
-        raise ValueError("exact mode is supported for n <= 3 only")
-
+    mode = "exact" if n <= 3 else "certificate"
     S = walsh_simplex(n)
     dim = 2**n - 1
     count = 2**n
@@ -301,8 +300,9 @@ def verify_proposition(n: int, mode: str = None) -> PropositionReport:
         )
     items.append(_item("thickness", "2", computed, thick_ok))
 
+    certified = thick if bounds is None or bounds[0] == bounds[1] else None
     cut = Halfspace((1,) * dim, 1)
-    witness = verify_reduction_witness(S, cut, ball)
+    witness = _verify_cut(S, cut, ball, certified, hrep)
     items.append(
         _item(
             "reduction_witness",

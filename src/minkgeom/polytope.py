@@ -118,10 +118,6 @@ def support(P: VPolytope, u):
     return max(dot(u, v) for v in P.vertices)
 
 
-def is_simplex(P: VPolytope) -> bool:
-    return len(P.vertices) == P.dim + 1 and affine_rank(P.vertices) == P.dim
-
-
 def simplex_hrep(P: VPolytope) -> HPolytope:
     """Facets of a simplex; facet k is the one opposite vertex k."""
     d = P.dim
@@ -129,14 +125,22 @@ def simplex_hrep(P: VPolytope) -> HPolytope:
         raise DegenerateBody(
             f"a simplex in dimension {d} has {d + 1} vertices, got {len(P.vertices)}"
         )
+    H = _simplex_hrep(P)
+    if H is None:
+        raise DegenerateBody("vertices are affinely dependent")
+    return H
+
+
+def _simplex_hrep(P):
+    """simplex_hrep of d + 1 points, or None if they are affinely dependent."""
     pairs = _simplex_facets(P.vertices)
     if pairs is None:
-        raise DegenerateBody("vertices are affinely dependent")
+        return None
     facets = []
     for a, beta in pairs:
         g = math.gcd(*a)
         facets.append(Halfspace(tuple(x // g for x in a), exact_div(beta, g)))
-    return HPolytope(d, tuple(facets))
+    return HPolytope(P.dim, tuple(facets))
 
 
 def _simplex_facets(points):
@@ -201,7 +205,7 @@ def cut_polytope(P: VPolytope, h: Halfspace) -> VPolytope:
 
 
 def _cut_polytope(P, h, facets):
-    """cut_polytope with P's facets given, or None to compute them when P is not a simplex."""
+    """cut_polytope with P's facets given, or None to compute them."""
     d = P.dim
     if len(h.normal) != d:
         raise DimensionMismatch(f"cut normal of length {len(h.normal)} in dimension {d}")
@@ -211,8 +215,8 @@ def _cut_polytope(P, h, facets):
     if all(val <= 0 for val in vals):
         return P
     verts, masks = list(zip(P.vertices, vals)), None  # every vertex pair of a simplex is an edge
-    if not is_simplex(P):
-        H = facets_of(P) if facets is None else facets
+    if len(P.vertices) != d + 1 or (facets is None and affine_rank(P.vertices) != d):
+        H = facets_of(P) if facets is None else facets  # a flat P raises here
         pts, verts, masks = verts, [], []
         for v, val in pts:
             tight = [k for k, f in enumerate(H.facets) if dot(f.normal, v) == f.rhs]
@@ -313,10 +317,13 @@ def hull_facets(points) -> HPolytope:
 
 
 def facets_of(P: VPolytope) -> HPolytope:
-    """H-representation of a V-polytope: direct for simplices, enumerated otherwise."""
-    if is_simplex(P):
-        return simplex_hrep(P)
-    return hull_facets(P.vertices)
+    """H-representation of a V-polytope: direct for simplices, enumerated otherwise.
+
+    d + 1 points are a simplex unless _simplex_facets finds them dependent;
+    hull_facets then raises on them as on any flat point set.
+    """
+    H = _simplex_hrep(P) if len(P.vertices) == P.dim + 1 else None
+    return hull_facets(P.vertices) if H is None else H
 
 
 # -- JSON forms ---------------------------------------------------------------

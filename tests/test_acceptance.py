@@ -53,13 +53,12 @@ def announce(capfd):
     return _announce
 
 
-def _proposition(n, mode=None):
-    key = (n, mode)
-    if key not in _reports:
+def _proposition(n):
+    if n not in _reports:
         t0 = time.monotonic()
-        rep = verify_proposition(n, mode)
-        _reports[key] = (rep, time.monotonic() - t0)
-    return _reports[key]
+        rep = verify_proposition(n)
+        _reports[n] = (rep, time.monotonic() - t0)
+    return _reports[n]
 
 
 def test_criterion_1_dim3_claims(announce):
@@ -87,7 +86,7 @@ def test_criterion_2_n3_exact(announce):
 
 
 def test_criterion_3_n4_certificate(announce):
-    rep, elapsed = _proposition(4, "certificate")
+    rep, elapsed = _proposition(4)
     S = walsh_simplex(4)
     cut_body = cut_polytope(S, halfspace((1,) * 15, 1))
     passed = (
@@ -109,8 +108,8 @@ def test_criterion_3_n4_certificate(announce):
 
 def test_criterion_4_ratio_sequence(announce):
     ratios = {}
-    for n, mode in ((2, None), (3, None), (4, "certificate")):
-        rep, _ = _proposition(n, mode)
+    for n in (2, 3, 4):
+        rep, _ = _proposition(n)
         ratios[n] = rep.ratio
     passed = ratios == {2: Fraction(1, 2), 3: Fraction(1, 4), 4: Fraction(1, 8)}
     announce(4, "thickness/diameter ratio 2^(1-n)", passed,

@@ -203,11 +203,6 @@ class TestVerify:
         assert code == 0
         assert obj["mode"] == "exact"
 
-    def test_prop_2_certificate(self, capsys):
-        code, obj = run(capsys, ["verify", "--prop", "2", "--certificate"])
-        assert code == 0
-        assert obj["mode"] == "certificate"
-
     @pytest.mark.parametrize(
         "name, flags",
         [("claims3", ["--claims3"]), ("prop2", ["--prop", "2"]),
@@ -223,11 +218,13 @@ class TestVerify:
             main(["verify", "--claims3", "--prop", "2"])
 
     def test_certificate_with_claims3_is_an_error_object(self, capsys):
-        # the dimension-3 report has no certificate mode; the flag must not be dropped silently
-        code, obj = run(capsys, ["verify", "--claims3", "--certificate"])
-        assert code == 2
-        assert obj["error"]["type"] == "ValueError"
-        assert "--certificate" in obj["error"]["message"]
+        # n alone picks the --prop route, so --certificate is an unknown flag
+        # that argparse refuses with exit status 2, with or without --prop
+        for flags in (["--claims3"], ["--prop", "4"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", *flags, "--certificate"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --certificate" in capsys.readouterr().err
 
 
 class TestErrors:
@@ -249,6 +246,21 @@ class TestErrors:
         code, obj = run(capsys, ["metrics", "--body", str(bad), "--ball", "l1"])
         assert code == 2
         assert obj["error"]["type"] == "JSONDecodeError"
+
+    @pytest.mark.parametrize("command", ["metrics", "complete", "ball", "cut"])
+    def test_deeply_nested_json_is_an_error_object(self, capsys, tmp_path, k_file, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        argv = {
+            "metrics": ["metrics", "--body", str(deep), "--ball", "l1"],
+            "complete": ["complete", "--body", str(deep), "--ball", "l1"],
+            "ball": ["metrics", "--body", k_file, "--ball", str(deep)],
+            "cut": ["witness", "--body", k_file, "--ball", "l1", "--cut", str(deep)],
+        }[command]
+        code, obj = run(capsys, argv)
+        assert code == 2
+        assert obj["error"]["type"] == "ValueError"
+        assert "nested too deeply" in obj["error"]["message"]
 
     def test_hrep_body_rejected_where_vertices_needed(self, capsys, tmp_path, K):
         from minkgeom.polytope import simplex_hrep

@@ -1,7 +1,10 @@
 """Built-in bodies and their verification reports."""
 
+from fractions import Fraction
+
 import pytest
 
+from minkgeom import constructions, metrics
 from minkgeom.constructions import (
     WALSH_SIMPLEX_MAX_N,
     tetrahedron_k,
@@ -93,26 +96,43 @@ class TestPropositionReport:
         assert rep.thickness == 2
         assert rep.complete is True
 
-    def test_n2_certificate_mode(self):
-        rep = verify_proposition(2, "certificate")
-        assert rep.ok
-        assert rep.mode == "certificate"
-        assert rep.thickness_bounds == (2, 2)
-
-    def test_exact_mode_gated_above_n3(self):
-        with pytest.raises(ValueError):
-            verify_proposition(4, "exact")
-
     def test_n_below_two_rejected(self):
         with pytest.raises(ValueError):
             verify_proposition(1)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            verify_proposition(2, "quick")
 
     def test_obj_shape(self):
         obj = verify_proposition(2).to_obj()
         for key in ("n", "dim", "mode", "items", "diameter", "thickness", "ratio", "ok"):
             assert key in obj
         assert obj["ratio"] == "1/2"
+
+
+class TestCertifiedOnce:
+    @pytest.mark.parametrize(
+        "report, families",
+        [(verify_claims_dim3, 2), (lambda: verify_proposition(2), 2),
+         (lambda: verify_proposition(3), 2), (lambda: verify_proposition(4), 1)],
+        ids=["claims3", "prop2", "prop3", "prop4"],
+    )
+    def test_thickness_lp_family_per_report(self, monkeypatch, report, families):
+        # the witness reuses the report's certified thickness; only the cut
+        # body's family (and at n <= 3 the report's own) is solved
+        calls = []
+        original = metrics._thickness_exact_lp
+
+        def counted(P, ball):
+            calls.append(P)
+            return original(P, ball)
+
+        monkeypatch.setattr(metrics, "_thickness_exact_lp", counted)
+        assert report().ok
+        assert len(calls) == families
+
+    def test_unmet_sandwich_is_not_passed_on(self, monkeypatch):
+        # bounds 1 <= thickness <= 2 prove nothing, so the witness's
+        # thickness_before must come from the LP, not from the lower bound
+        monkeypatch.setattr(constructions, "inball_scale", lambda H, ball: Fraction(1, 2))
+        rep = verify_proposition(4)
+        assert rep.thickness_bounds == (1, 2)
+        assert rep.ok is False
+        assert rep.witness.thickness_before == 2

@@ -1,8 +1,10 @@
 """Polytope representations: supports, facet enumeration, cuts, JSON forms."""
 
+import importlib.util
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,32 +32,26 @@ from minkgeom.polytope import (
     halfspace_from_obj,
     halfspace_to_obj,
     hull_facets,
-    is_simplex,
     is_subset,
     simplex_hrep,
     support,
 )
-from minkgeom.qlinalg import _forward_eliminate, affine_rank, dot, vneg
+from minkgeom.qlinalg import affine_rank, dot, vneg
 from minkgeom.walsh import walsh_matrix
 
 from conftest import random_body, random_simplex
 
 
-def kernel_vector(mat, ncols):
-    """One nonzero integer vector in the kernel of mat, or None if the columns are independent.
+def _load_reference_linalg():
+    """bench/linalg.py: plain Fraction elimination, sharing no code with qlinalg."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "linalg.py"
+    spec = importlib.util.spec_from_file_location("reference_linalg", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    The free variable is the lowest-index non-pivot column, with coordinate
-    den > 0; the pivot coordinates are read off the reduced rows.
-    """
-    rows, pivots, den = _forward_eliminate(mat)
-    free = next((c for c in range(ncols) if c not in pivots), None)
-    if free is None:
-        return None
-    out = [0] * ncols
-    out[free] = den
-    for r, c in enumerate(pivots):
-        out[c] = -rows[r][free]
-    return tuple(out)
+
+ref = _load_reference_linalg()
 
 
 def brute_force_facets(points, dim):
@@ -63,19 +59,21 @@ def brute_force_facets(points, dim):
 
     Each subset spans a candidate hyperplane a . x = beta; it is a facet when
     every point lies on one side and the tight points span the hyperplane.
+    The linear algebra is the reference's, so a fault in the library's
+    elimination kernel cannot hide in the oracle too.
     """
     pts = list(dict.fromkeys(tuple(p) for p in points))
     found = set()
     for combo in combinations(pts, dim):
-        kv = kernel_vector([p + (1,) for p in combo], dim + 1)
+        kv = ref.null_vector([p + (1,) for p in combo], dim + 1)
         a, beta = kv[:dim], -kv[dim]
-        vals = [dot(a, p) for p in pts]
+        vals = [ref.dot(a, p) for p in pts]
         if max(vals) > beta:
             if min(vals) < beta:
                 continue
-            a, beta = vneg(a), -beta
-        tight = [p for p in pts if dot(a, p) == beta]
-        if affine_rank(tight) == dim - 1:
+            a, beta = [-x for x in a], -beta
+        tight = [p for p in pts if ref.dot(a, p) == beta]
+        if ref.affine_rank(tight) == dim - 1:
             found.add(halfspace(a, beta))
     return tuple(sorted(found, key=lambda h: (h.normal, h.rhs)))
 
@@ -282,12 +280,6 @@ class TestSimplexHrep:
         coplanar = VPolytope(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)))
         with pytest.raises(DegenerateBody, match="affinely dependent"):
             simplex_hrep(coplanar)
-
-    def test_is_simplex(self, K, cube3):
-        assert is_simplex(K)
-        assert not is_simplex(cube3)
-        flat = VPolytope(3, ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)))
-        assert not is_simplex(flat)
 
 
 class TestContainsAndSubset:
@@ -554,6 +546,12 @@ class TestHullFacets:
         }
         Hcube = facets_of(cube3)
         assert len(Hcube.facets) == 6
+        # d + 1 flat points are no simplex: they fail as any flat point set does
+        message = "^points span an affine subspace of dimension 2 < 3$"
+        for flat in (((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)),
+                     ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0))):
+            with pytest.raises(DegenerateBody, match=message):
+                facets_of(VPolytope(3, flat))
 
 
 class TestExtremePoints:
