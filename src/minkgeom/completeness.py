@@ -14,7 +14,16 @@ from dataclasses import dataclass
 
 from .errors import CertificateError, DegenerateBody, DimensionMismatch, EmptyIntersection
 from .lp import OPTIMAL, LpProblem, lp_max
-from .metrics import _check_thickness_input, diameter, inball_scale, thickness
+from .metrics import (
+    _check_thickness_input,
+    _piece_chord,
+    _thickness,
+    _thickness_exact_lp,
+    diameter,
+    inball_scale,
+    thickness,
+    width,
+)
 from .norms import PolytopalNorm, dual_support, norm
 from .polytope import (
     _cut_polytope,
@@ -138,18 +147,37 @@ class ReductionWitness:
 def verify_reduction_witness(P: VPolytope, h: Halfspace, ball: PolytopalNorm) -> ReductionWitness:
     """Check one halfspace cut: valid iff it removes a vertex and keeps the thickness.
 
-    Thickness on both sides is computed in exact_lp mode.  A cut that empties
-    the body raises EmptyIntersection; one that flattens it raises
-    DegenerateBody.
+    Thickness on both sides is computed in exact_lp mode, every piece LP
+    solved, so thickness_after is exact.  A cut that empties the body raises
+    EmptyIntersection; one that flattens it raises DegenerateBody.
     """
     return _verify_cut(P, h, ball, None, None)
 
 
-def _verify_cut(P, h, ball, before, facets):
+def _verify_cut(P, h, ball, before, facets, chords=None):
     """verify_reduction_witness given thickness(P) as before and facets_of(P) as facets, or None.
 
     The cut comes before thickness(P), so its size gate fires before any
     thickness LP; thickness(P)'s input errors still come first.
+
+    The cut body Q = P & h lies in P, so th(Q) <= before, and the cut is
+    valid exactly when th(Q) >= before; then thickness_after is before.
+    Certified lower bounds settle that before any LP on Q:
+
+    - with before and facets given and the origin strictly inside P and h,
+      Q holds t * B, t the inscribed-ball scale of P's facets and h
+      (_inball_settles).  B = -B gives Q - Q >= 2t * B, so th(Q) >= 2t, and
+      2t >= before settles the cut: no LP, and no cut body either, since Q
+      is then full-dimensional;
+    - chords (the search's) hold (w, x, z) per piece of P's LP family, x and
+      z in P with x - z = rho_w * w, rho_w >= before (_piece_chord).  When the
+      cut keeps both x and z, Q - Q holds rho_w * w, so the piece of Q is at
+      least before and its LP is skipped.
+
+    Without chords the other pieces of Q are all solved, and thickness_after
+    is exact.  With chords the first piece of Q below before ends the check:
+    its LP direction u has width(Q, u) <= its value < before, checked, and the
+    invalid cut returns None, its thickness being only bounded from above.
     """
     if len(h.normal) != P.dim:
         raise DimensionMismatch(f"cut normal of length {len(h.normal)} in dimension {P.dim}")
@@ -159,6 +187,8 @@ def _verify_cut(P, h, ball, before, facets):
         raise EmptyIntersection("the cut removes every vertex")
     if before is None:
         _check_thickness_input(P, ball)
+    elif removed and facets is not None and _inball_settles(h, ball, before, facets):
+        return ReductionWitness(h, removed, before, before, True)
     Q = _cut_polytope(P, h, facets)  # P itself when the cut removes nothing
     if removed and affine_rank(Q.vertices) != P.dim:
         raise DegenerateBody("the cut body is lower-dimensional")
@@ -166,8 +196,38 @@ def _verify_cut(P, h, ball, before, facets):
         before, _ = thickness(P, ball, "exact_lp")
     if not removed:
         return ReductionWitness(h, removed, before, before, False)
-    after, _ = thickness(Q, ball, "exact_lp")
-    return ReductionWitness(h, removed, before, after, after == before)
+    if chords is None:
+        after, _ = thickness(Q, ball, "exact_lp")
+        return ReductionWitness(h, removed, before, after, after == before)
+    unsettled = [w for w, x, z in chords if dot(h.normal, x) > h.rhs or dot(h.normal, z) > h.rhs]
+    if unsettled:
+        low, u, _ = _thickness_exact_lp(Q, ball, unsettled, before)
+        if low < before:
+            if not width(Q, u, ball) <= low:
+                raise CertificateError("the cut body's piece direction fails its width bound")
+            return None
+    return ReductionWitness(h, removed, before, before, True)
+
+
+def _inball_settles(h, ball, before, facets):
+    """Does P & h hold t * B with 2t >= before, P given by its facets?
+
+    False unless the origin is strictly inside P and h, where
+    inball_scale is the largest such t.
+    """
+    H = HPolytope(len(h.normal), facets.facets + (h,))
+    if any(f.rhs <= 0 for f in H.facets):
+        return False
+    return 2 * inball_scale(H, ball) >= before
+
+
+def _family_chords(P, ball):
+    """(thickness(P), chords): P's exact_lp family solved once, each piece's chord
+    read off its multipliers (_piece_chord), least rho_w first, since those
+    pieces are the likeliest to fall below the thickness on a cut body."""
+    before, _, solved = _thickness(P, ball, "exact_lp")
+    solved = sorted(solved, key=lambda piece: -piece[1].optimum)
+    return before, [(w, *_piece_chord(P, w, out)) for w, out in solved]
 
 
 def search_reduction_witness(P: VPolytope, ball: PolytopalNorm):
@@ -178,17 +238,23 @@ def search_reduction_witness(P: VPolytope, ball: PolytopalNorm):
     boundary hyperplane supports the inscribed copy of the ball from the
     side opposite the facet, so the inscribed copy survives the cut.
     Requires the origin strictly inside P.
+
+    P's thickness LP family is solved once, and each piece's chord is read
+    off its multipliers; a candidate is then settled by the inscribed-ball
+    bound, by the chords it keeps, and by LPs on the cut body for the other
+    pieces only, stopping at the first piece that falls below (_verify_cut).
+    A witness found reads as verify_reduction_witness reports it.
     """
     body_facets = facets_of(P)
     scale = inball_scale(body_facets, ball)
-    before, _ = thickness(P, ball, "exact_lp")
+    before, chords = _family_chords(P, ball)
     for f in body_facets.facets:
         neg = vneg(f.normal)
         cut = Halfspace(neg, scale * dual_support(neg, ball))
         try:
-            witness = _verify_cut(P, cut, ball, before, body_facets)
+            witness = _verify_cut(P, cut, ball, before, body_facets, chords)
         except (DegenerateBody, EmptyIntersection):
             continue
-        if witness.valid:
+        if witness is not None and witness.valid:
             return witness
     return None

@@ -16,7 +16,10 @@ thickness LP family and the completeness decision for n <= 3, and for n = 4 a
 certificate sandwich whose lower bound is twice the inscribed-ball scale and
 whose upper bound is the width along one coordinate direction.  Each report
 hands the thickness it has certified, and the simplex's facets, to the
-reduction witness check, so no certified quantity is computed twice.
+reduction witness check, so no certified quantity is computed twice.  Each
+report's cut keeps the unit ball, which the simplex holds, so the cut body's
+thickness is at least 2, the thickness before: the inscribed-ball bound
+settles the witness with no LP on the cut body.
 """
 
 from __future__ import annotations

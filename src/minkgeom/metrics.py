@@ -32,9 +32,12 @@ from .polytope import (
     hull_facets,
     support,
 )
-from .qlinalg import affine_rank, exact_div, fmt_rat, fmt_vec, vneg, vsub
+from .qlinalg import affine_rank, exact_div, fmt_rat, fmt_vec, vneg, vscale, vsub
 
 THICKNESS_MODES = ("exact_lp", "difference_body")
+# piece LPs of an exact_lp thickness, one per +- pair of ball vertices:
+# linf in d = 11 needs 1024
+THICKNESS_MAX_LPS = 1024
 
 
 def width(P: VPolytope, u, ball: PolytopalNorm):
@@ -93,7 +96,7 @@ def inball_scale(H: HPolytope, ball: PolytopalNorm):
     return best
 
 
-def _thickness_exact_lp(P: VPolytope, ball: PolytopalNorm):
+def _thickness_exact_lp(P: VPolytope, ball: PolytopalNorm, pieces=None, floor=None):
     """Inradius of P - P in the ball's norm, from the vertices of P.
 
     The width in direction u is h_{P-P}(u) / h_B(u), so the thickness is the
@@ -102,8 +105,16 @@ def _thickness_exact_lp(P: VPolytope, ball: PolytopalNorm):
     LP per vertex minimizes h_{P-P}(u) = max v.u - min v.u over the vertices v
     of P; h_{P-P} is even, so a vertex whose negative came earlier is skipped.
     Ties go to the lowest ball-vertex index, then to the LP's deterministic
-    pivoting.
+    pivoting.  The family is gated to THICKNESS_MAX_LPS pieces before the
+    first LP.
+
+    Returns (value, direction, solved), solved holding (w, LP outcome) per
+    piece solved.  pieces, when given, replaces the family's ball vertices,
+    and a floor stops the family at the first piece whose value is below it;
+    either way the value is then only the least over the pieces solved.
     """
+    if pieces is None:
+        pieces = _pieces(ball)
     d = P.dim
     vertex_rows = []
     for v in P.vertices:
@@ -112,19 +123,54 @@ def _thickness_exact_lp(P: VPolytope, ball: PolytopalNorm):
     objective = (0,) * d + (1, -1)
     best = None
     best_dir = None
-    seen = set()
-    for w in ball.ball_v.vertices:
-        if vneg(w) in seen:
-            continue
-        seen.add(w)
+    solved = []
+    for w in pieces:
         cons = vertex_rows + [(w + (0, 0), 1), (vneg(w) + (0, 0), -1)]
         out = lp_max(LpProblem(objective, tuple(cons)))
         if out.status != OPTIMAL:
             raise CertificateError("thickness LP must be optimal for a full-dim body")
+        solved.append((w, out))
         if best is None or -out.optimum < best:
             best = -out.optimum
             best_dir = out.point[:d]
-    return best, best_dir
+        if floor is not None and best < floor:
+            break
+    return best, best_dir, solved
+
+
+def _pieces(ball: PolytopalNorm):
+    """The ball vertices of the thickness LP family: one per +- pair, in ball order."""
+    pieces = []
+    seen = set()
+    for w in ball.ball_v.vertices:
+        if vneg(w) not in seen:
+            seen.add(w)
+            pieces.append(w)
+    if len(pieces) > THICKNESS_MAX_LPS:
+        raise SizeLimitExceeded(
+            f"thickness needs {len(pieces)} piece LPs, gated to <= {THICKNESS_MAX_LPS}"
+        )
+    return pieces
+
+
+def _piece_chord(P: VPolytope, w, out):
+    """Points x, z of P with x - z = rho * w, from a piece LP's multipliers.
+
+    rho = -out.optimum is the piece's value.  The multipliers of the rows
+    v . u <= t and s <= v . u weight the vertices into x and z; the dual
+    identities make both weightings convex and x - z = rho * w, and all
+    three are checked here, a failure raising CertificateError.
+    """
+    y = out.dual_multipliers[:-2]
+    alpha, beta = y[0::2], y[1::2]
+    if min(y) < 0 or sum(alpha) != 1 or sum(beta) != 1:
+        raise CertificateError("piece chord weights must be convex")
+    cols = tuple(zip(*P.vertices))
+    x = tuple(sum(a * c for a, c in zip(alpha, col) if a) for col in cols)
+    z = tuple(sum(b * c for b, c in zip(beta, col) if b) for col in cols)
+    if vsub(x, z) != vscale(-out.optimum, w):
+        raise CertificateError("piece chord fails x - z = rho * w")
+    return x, z
 
 
 def _thickness_difference_body(P: VPolytope, ball: PolytopalNorm):
@@ -161,16 +207,23 @@ def thickness(P: VPolytope, ball: PolytopalNorm, mode: str = "exact_lp"):
     mode is one of THICKNESS_MODES; the direction's width is checked to
     reproduce the value.
     """
+    value, direction, _ = _thickness(P, ball, mode)
+    return value, direction
+
+
+def _thickness(P, ball, mode):
+    """thickness(P, ball, mode) plus, in exact_lp mode, the (w, LP outcome) of every piece."""
     _check_thickness_input(P, ball)
+    solved = None
     if mode == "exact_lp":
-        value, direction = _thickness_exact_lp(P, ball)
+        value, direction, solved = _thickness_exact_lp(P, ball)
     elif mode == "difference_body":
         value, direction = _thickness_difference_body(P, ball)
     else:
         raise ValueError(f"unknown thickness mode {mode!r}")
     if width(P, direction, ball) != value:
         raise CertificateError("thickness witness fails to reproduce the value")
-    return value, direction
+    return value, direction, solved
 
 
 @dataclass(frozen=True)

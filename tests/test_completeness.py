@@ -1,19 +1,32 @@
 """Ball hulls, completeness decisions, and reduction witnesses."""
 
+import random
+
 import pytest
 
+from conftest import random_body
+from minkgeom import completeness
 from minkgeom.completeness import (
+    _family_chords,
+    _verify_cut,
     ball_hull,
     is_complete,
     search_reduction_witness,
     verify_reduction_witness,
     vertex_diameter_realization,
 )
-from minkgeom.errors import DegenerateBody, EmptyIntersection
-from minkgeom.metrics import diameter, thickness
-from minkgeom.norms import l1_ball
-from minkgeom.polytope import VPolytope, contains, halfspace, is_subset
-from minkgeom.qlinalg import dot
+from minkgeom.errors import CertificateError, DegenerateBody, EmptyIntersection
+from minkgeom.metrics import diameter, inball_scale, thickness
+from minkgeom.norms import dual_support, l1_ball, linf_ball
+from minkgeom.polytope import (
+    VPolytope,
+    contains,
+    cut_polytope,
+    facets_of,
+    halfspace,
+    is_subset,
+)
+from minkgeom.qlinalg import dot, vneg
 
 
 class TestBallHull:
@@ -164,3 +177,119 @@ class TestSearchReductionWitness:
         assert again.valid
         assert again.removed_vertices == w.removed_vertices
         assert again.thickness_after == w.thickness_after
+
+
+def centred_body(rng, dim, npts):
+    """A random body moved to integer coordinates with its vertex centroid at the origin."""
+    P = random_body(rng, dim, npts)
+    total = [sum(col) for col in zip(*P.vertices)]
+    return VPolytope(dim, tuple(tuple(npts * x - s for x, s in zip(v, total)) for v in P.vertices))
+
+
+def translated(P, shift):
+    return VPolytope(P.dim, tuple(tuple(x + s for x, s in zip(v, shift)) for v in P.vertices))
+
+
+def candidate_cuts(P, ball):
+    """The search's canonical cuts, in its order."""
+    facets = facets_of(P)
+    scale = inball_scale(facets, ball)
+    return [halfspace(vneg(f.normal), scale * dual_support(vneg(f.normal), ball)) for f in facets.facets]
+
+
+def reference_search(P, ball):
+    """The search with every candidate solved in full by verify_reduction_witness."""
+    for cut in candidate_cuts(P, ball):
+        try:
+            witness = verify_reduction_witness(P, cut, ball)
+        except (DegenerateBody, EmptyIntersection):
+            continue
+        if witness.valid:
+            return witness
+    return None
+
+
+def outcome(check):
+    """The witness a check returns, or the type of the error it raises."""
+    try:
+        return check()
+    except (DegenerateBody, EmptyIntersection) as exc:
+        return type(exc)
+
+
+def verdict(witness):
+    """A witness without its cut, which a translation moves."""
+    return witness.removed_vertices, witness.thickness_before, witness.thickness_after, witness.valid
+
+
+# (dim, point counts) of the seeded origin-centred bodies
+EQUIVALENCE_BODIES = [(2, (3, 4, 5, 6)), (3, (4, 5, 6, 7)), (4, (5, 6))]
+
+
+def equivalence_cases():
+    for dim, counts in EQUIVALENCE_BODIES:
+        for make_ball in (l1_ball, linf_ball):
+            for npts in counts:
+                for seed in range(2):
+                    rng = random.Random(f"bounded-cut/{dim}/{npts}/{seed}")
+                    yield centred_body(rng, dim, npts), make_ball(dim)
+
+
+class TestBoundedCutCheck:
+    """The certified lower bounds decide each cut as the full LP family does."""
+
+    @pytest.mark.parametrize("P, ball", list(equivalence_cases()))
+    def test_bounded_verdicts_match_the_full_family(self, P, ball):
+        facets = facets_of(P)
+        before, chords = _family_chords(P, ball)
+        assert before == thickness(P, ball)[0]
+        # shifted far enough that the origin lies outside the body, where the
+        # inscribed-ball bound must stand aside rather than raise
+        shift = tuple(10 * max(abs(x) for v in P.vertices for x in v) + 1 for _ in range(P.dim))
+        moved = translated(P, shift)
+        moved_facets = facets_of(moved)
+        _, moved_chords = _family_chords(moved, ball)
+        for cut in candidate_cuts(P, ball):
+            full = outcome(lambda: verify_reduction_witness(P, cut, ball))
+            reported = outcome(lambda: _verify_cut(P, cut, ball, before, facets))
+            searched = outcome(lambda: _verify_cut(P, cut, ball, before, facets, chords))
+            moved_cut = halfspace(cut.normal, cut.rhs + dot(cut.normal, shift))
+            moved_reported = outcome(lambda: _verify_cut(moved, moved_cut, ball, before, moved_facets))
+            moved_searched = outcome(
+                lambda: _verify_cut(moved, moved_cut, ball, before, moved_facets, moved_chords)
+            )
+            if isinstance(full, type):
+                assert reported is searched is moved_reported is moved_searched is full
+                continue
+            assert reported.to_obj() == full.to_obj()
+            assert verdict(moved_reported) == verdict(full)
+            for bounded in (searched, moved_searched):
+                if full.valid:
+                    assert verdict(bounded) == verdict(full)
+                else:
+                    assert bounded is None or not bounded.valid
+            # the difference-body route shares no LP with either
+            by_facets = bool(full.removed_vertices) and (
+                thickness(cut_polytope(P, cut), ball, "difference_body")[0] == before
+            )
+            assert by_facets == full.valid
+
+    @pytest.mark.parametrize("P, ball", list(equivalence_cases()))
+    def test_search_matches_the_full_route(self, P, ball):
+        found = search_reduction_witness(P, ball)
+        reference = reference_search(P, ball)
+        assert (found is None) == (reference is None)
+        if found is not None:
+            assert found.to_obj() == reference.to_obj()
+
+    def test_failed_early_exit_certificate_is_not_a_no(self, monkeypatch, ball3):
+        # every candidate cut of this simplex falls below its thickness, each
+        # certified by the width of one piece direction; a width that fails
+        # the bound is a fault, and the search must raise rather than skip
+        # the cut as invalid
+        P = VPolytope(3, ((-5, -3, 2), (-1, 5, -2), (-9, -3, -6), (15, 1, 6)))
+        assert search_reduction_witness(P, ball3) is None
+        before, _ = thickness(P, ball3)
+        monkeypatch.setattr(completeness, "width", lambda Q, u, ball: before)
+        with pytest.raises(CertificateError, match="width bound"):
+            search_reduction_witness(P, ball3)

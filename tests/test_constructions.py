@@ -110,19 +110,20 @@ class TestPropositionReport:
 class TestCertifiedOnce:
     @pytest.mark.parametrize(
         "report, families",
-        [(verify_claims_dim3, 2), (lambda: verify_proposition(2), 2),
-         (lambda: verify_proposition(3), 2), (lambda: verify_proposition(4), 1)],
+        [(verify_claims_dim3, 1), (lambda: verify_proposition(2), 1),
+         (lambda: verify_proposition(3), 1), (lambda: verify_proposition(4), 0)],
         ids=["claims3", "prop2", "prop3", "prop4"],
     )
     def test_thickness_lp_family_per_report(self, monkeypatch, report, families):
-        # the witness reuses the report's certified thickness; only the cut
-        # body's family (and at n <= 3 the report's own) is solved
+        # the witness reuses the report's certified thickness, and the
+        # inscribed-ball bound settles the cut body's: only the report's own
+        # family is solved, at n <= 3
         calls = []
         original = metrics._thickness_exact_lp
 
-        def counted(P, ball):
+        def counted(P, ball, *args):
             calls.append(P)
-            return original(P, ball)
+            return original(P, ball, *args)
 
         monkeypatch.setattr(metrics, "_thickness_exact_lp", counted)
         assert report().ok

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from minkgeom.errors import DegenerateBody, DimensionMismatch, OriginNotInterior
+from minkgeom import metrics
+from minkgeom.completeness import verify_reduction_witness
+from minkgeom.errors import DegenerateBody, DimensionMismatch, OriginNotInterior, SizeLimitExceeded
 from minkgeom.metrics import (
+    THICKNESS_MAX_LPS,
     MetricsReport,
     diameter,
     inball_scale,
@@ -23,7 +26,7 @@ from minkgeom.polytope import (
     halfspace,
     simplex_hrep,
 )
-from minkgeom.qlinalg import vsub
+from minkgeom.qlinalg import unit_vec, vsub
 
 from conftest import random_body, random_simplex
 
@@ -192,6 +195,42 @@ class TestThickness:
         t, _ = thickness(K, ball3)
         for u in ((1, 0, 0), (1, 1, 0), (1, 1, 1), (2, -1, 3)):
             assert t <= width(K, u, ball3)
+
+
+class TestThicknessGate:
+    """The exact_lp family is gated on its piece LPs, before the first one."""
+
+    class LpReached(Exception):
+        pass
+
+    @pytest.fixture
+    def no_lp(self, monkeypatch):
+        def refuse(problem):
+            raise self.LpReached
+
+        monkeypatch.setattr(metrics, "lp_max", refuse)
+
+    @staticmethod
+    def corner_simplex(dim):
+        return VPolytope(dim, ((0,) * dim,) + tuple(unit_vec(dim, i) for i in range(dim)))
+
+    def test_linf_past_the_gate_solves_no_lp(self, no_lp):
+        # linf in d = 16 passes BALL_MAX_DIM, but its 2^16 vertices mean
+        # 32,768 piece LPs
+        P = self.corner_simplex(16)
+        with pytest.raises(SizeLimitExceeded, match="thickness needs 32768 piece LPs"):
+            thickness(P, linf_ball(16))
+        with pytest.raises(SizeLimitExceeded, match="32768 piece LPs"):
+            verify_reduction_witness(P, halfspace((1,) * 16, Fraction(1, 2)), linf_ball(16))
+
+    def test_gate_bounds_the_piece_count(self, no_lp):
+        # linf in d = 11 is 2^10 = THICKNESS_MAX_LPS pieces, let through to
+        # its first LP; d = 12 is twice that
+        assert THICKNESS_MAX_LPS == 1024
+        with pytest.raises(self.LpReached):
+            thickness(self.corner_simplex(11), linf_ball(11))
+        with pytest.raises(SizeLimitExceeded, match="2048 piece LPs, gated to <= 1024"):
+            thickness(self.corner_simplex(12), linf_ball(12))
 
 
 class TestMetricsReport:
