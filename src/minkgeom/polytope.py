@@ -268,8 +268,10 @@ def hull_facets(points) -> HPolytope:
     simplex's facets, each further point keeps the rays it satisfies and joins
     each adjacent pair it separates.  Rays are integer vectors reduced by their
     gcd; _adjacent_pairs finds the adjacent pairs from their tight point sets.
-    Each facet is checked at the end; a failure raises CertificateError.  The
-    gate bounds only the dimension, which is that of the points.
+    The end check evaluates each point once per facet, in integers; those
+    values give the tight set, the one-side test and the rank of the tight
+    points, and a failure raises CertificateError.  The gate bounds only the
+    dimension, which is that of the points.
     """
     pts = tuple(dict.fromkeys(tuple(p) for p in points))
     if not pts:
@@ -307,10 +309,9 @@ def hull_facets(points) -> HPolytope:
     facets = []
     for r, _ in rays:
         a, beta = r[:dim], r[dim]
-        tight = [p for p, q in zip(pts, ipts) if dot(a, q) == beta]
-        if len(tight) < dim or affine_rank(tight) != dim - 1 or any(
-            dot(a, q) > beta for q in ipts
-        ):
+        vals = [dot(a, q) for q in ipts]
+        tight = [q for q, v in zip(ipts, vals) if v == beta]
+        if len(tight) < dim or max(vals) > beta or affine_rank(tight) != dim - 1:
             raise CertificateError(f"double description gave a non-facet {r}")
         facets.append(Halfspace(a, exact_div(beta, scale)))
     return HPolytope(dim, tuple(sorted(facets, key=lambda h: (h.normal, h.rhs))))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .errors import SizeLimitExceeded
+from .qlinalg import dot
 
 WALSH_MAX_K = 10
 
@@ -36,7 +37,7 @@ def is_hadamard(mat) -> bool:
                 raise ValueError(f"entry {x!r} is not +1 or -1")
     for i in range(n):
         for j in range(i, n):
-            d = sum(a * b for a, b in zip(mat[i], mat[j]))
+            d = dot(mat[i], mat[j])
             if d != (n if i == j else 0):
                 return False
     return True

@@ -1,5 +1,6 @@
 """Polytope representations: supports, facet enumeration, cuts, JSON forms."""
 
+import ast
 import importlib.util
 import random
 from fractions import Fraction
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from minkgeom import polytope
 from minkgeom.errors import (
+    CertificateError,
     DegenerateBody,
     DimensionMismatch,
     EmptyIntersection,
@@ -489,6 +492,12 @@ class TestDifferenceBody:
             assert tuple(-x for x in p) in pts
 
 
+def _ray_in(info):
+    """The ray (a, beta) named by a hull_facets CertificateError."""
+    message = str(info.value)
+    return ast.literal_eval(message[message.index("("):])
+
+
 class TestHullFacets:
     def test_square_with_interior_point(self):
         pts = ((0, 0), (2, 0), (2, 2), (0, 2), (1, 1))
@@ -539,6 +548,56 @@ class TestHullFacets:
     @pytest.mark.parametrize("dim, points", _oracle_cases())
     def test_matches_brute_force_oracle(self, dim, points):
         assert hull_facets(points).facets == brute_force_facets(points, dim)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(2, 4))
+    def test_scaling_translation_and_order(self, data, dim):
+        # x -> k x + t maps a . x <= beta to a . x <= k beta + a . t, a unchanged
+        coord = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+        point = st.tuples(*[coord] * dim)
+        points = data.draw(st.lists(point, min_size=dim + 1, max_size=dim + 5, unique=True))
+        assume(affine_rank(points) == dim)
+        k = data.draw(st.builds(Fraction, st.integers(1, 6), st.integers(1, 6)), label="k")
+        t = data.draw(st.tuples(*[st.integers(-5, 5)] * dim), label="t")
+        image = [tuple(k * x + y for x, y in zip(p, t)) for p in points]
+        image = data.draw(st.permutations(image), label="image")
+        expected = sorted(
+            (Halfspace(f.normal, k * f.rhs + dot(f.normal, t)) for f in hull_facets(points).facets),
+            key=lambda h: (h.normal, h.rhs),
+        )
+        assert hull_facets(image).facets == tuple(expected)
+
+    def test_non_facet_ray_fails_the_rank_check(self, monkeypatch):
+        # joining every (+, -) pair, adjacent or not, leaves valid rays whose
+        # tight points span less than a hyperplane; with an edge midpoint
+        # added, the first such ray is tight at three collinear points, so
+        # only the rank tells it from a facet
+        points = tuple(product((0, 2), repeat=3)) + ((2, 2, 1),)
+        monkeypatch.setattr(
+            polytope, "_adjacent_pairs", lambda masks, left, right, rank: product(left, right)
+        )
+        with pytest.raises(CertificateError, match="non-facet") as info:
+            hull_facets(points)
+        *a, beta = _ray_in(info)
+        assert all(dot(a, p) <= beta for p in points)
+        tight = [p for p in points if dot(a, p) == beta]
+        assert len(tight) == 3 and affine_rank(tight) == 1
+
+    def test_ray_with_a_point_beyond_fails_the_one_side_check(self, monkeypatch, K):
+        # K is its own basis simplex, so the flipped ray reaches the end check
+        # as it is: still tight at three vertices, with the fourth beyond it
+        simplex_facets = polytope._simplex_facets
+
+        def flip_first(points):
+            (a, beta), *rest = simplex_facets(points)
+            return [(vneg(a), -beta)] + rest
+
+        monkeypatch.setattr(polytope, "_simplex_facets", flip_first)
+        with pytest.raises(CertificateError, match="non-facet") as info:
+            hull_facets(K.vertices)
+        *a, beta = _ray_in(info)
+        assert any(dot(a, p) > beta for p in K.vertices)
+        assert affine_rank([p for p in K.vertices if dot(a, p) == beta]) == 2
 
     def test_facets_of_dispatches(self, K, cube3):
         assert {(f.normal, f.rhs) for f in facets_of(K).facets} == {
