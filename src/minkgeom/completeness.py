@@ -27,6 +27,7 @@ from .metrics import (
 from .norms import PolytopalNorm, dual_support, norm
 from .polytope import (
     _cut_polytope,
+    _incidence,
     Halfspace,
     HPolytope,
     VPolytope,
@@ -36,7 +37,7 @@ from .polytope import (
     halfspace_to_obj,
     support,
 )
-from .qlinalg import affine_rank, dot, fmt_rat, fmt_vec, vneg, vsub
+from .qlinalg import affine_rank, dot, exact_div, fmt_rat, fmt_vec, vneg, vsub
 
 
 def ball_hull(P: VPolytope, r, ball: PolytopalNorm) -> HPolytope:
@@ -154,15 +155,18 @@ def verify_reduction_witness(P: VPolytope, h: Halfspace, ball: PolytopalNorm) ->
     return _verify_cut(P, h, ball, None, None)
 
 
-def _verify_cut(P, h, ball, before, facets, chords=None):
-    """verify_reduction_witness given thickness(P) as before and facets_of(P) as facets, or None.
+def _verify_cut(P, h, ball, before, facets, chords=None, incidence=None):
+    """verify_reduction_witness given thickness(P) as before, facets_of(P) as
+    facets and their _incidence, or None.
 
     The cut comes before thickness(P), so its size gate fires before any
-    thickness LP; thickness(P)'s input errors still come first.
+    thickness LP; thickness(P)'s input errors still come first.  The cut body
+    Q = P & h is lower-dimensional exactly when no point of P lies strictly
+    inside h, P being full-dimensional.
 
-    The cut body Q = P & h lies in P, so th(Q) <= before, and the cut is
-    valid exactly when th(Q) >= before; then thickness_after is before.
-    Certified lower bounds settle that before any LP on Q:
+    Q lies in P, so th(Q) <= before, and the cut is valid exactly when
+    th(Q) >= before; then thickness_after is before.  Certified lower bounds
+    settle that before any LP on Q:
 
     - with before and facets given and the origin strictly inside P and h,
       Q holds t * B, t the inscribed-ball scale of P's facets and h
@@ -175,9 +179,14 @@ def _verify_cut(P, h, ball, before, facets, chords=None):
       least before and its LP is skipped.
 
     Without chords the other pieces of Q are all solved, and thickness_after
-    is exact.  With chords the first piece of Q below before ends the check:
-    its LP direction u has width(Q, u) <= its value < before, checked, and the
-    invalid cut returns None, its thickness being only bounded from above.
+    is exact.  With chords an invalid cut returns None, its thickness being
+    only bounded from above, by one of two certificates:
+
+    - the cut's own normal a: Q lies in P and below a . x <= r, so
+      th(Q) <= width(Q, a) <= (r + h_P(-a)) / h_B(a) (_normal_bound), and a
+      bound below before refutes the cut with no cut body and no LP;
+    - otherwise the first piece of Q below before ends the check: its LP
+      direction u has width(Q, u) <= its value < before, checked.
     """
     if len(h.normal) != P.dim:
         raise DimensionMismatch(f"cut normal of length {len(h.normal)} in dimension {P.dim}")
@@ -189,9 +198,11 @@ def _verify_cut(P, h, ball, before, facets, chords=None):
         _check_thickness_input(P, ball)
     elif removed and facets is not None and _inball_settles(h, ball, before, facets):
         return ReductionWitness(h, removed, before, before, True)
-    Q = _cut_polytope(P, h, facets)  # P itself when the cut removes nothing
-    if removed and affine_rank(Q.vertices) != P.dim:
+    if removed and min(vals) >= 0:
         raise DegenerateBody("the cut body is lower-dimensional")
+    if chords is not None and _normal_bound(P, h, ball) < before:
+        return None
+    Q = _cut_polytope(P, h, facets, incidence)  # P itself when the cut removes nothing
     if before is None:
         before, _ = thickness(P, ball, "exact_lp")
     if not removed:
@@ -207,6 +218,11 @@ def _verify_cut(P, h, ball, before, facets, chords=None):
                 raise CertificateError("the cut body's piece direction fails its width bound")
             return None
     return ReductionWitness(h, removed, before, before, True)
+
+
+def _normal_bound(P, h, ball):
+    """(r + h_P(-a)) / h_B(a) for h = {a . x <= r}: at least the width of P & h along a."""
+    return exact_div(h.rhs + support(P, vneg(h.normal)), dual_support(h.normal, ball))
 
 
 def _inball_settles(h, ball, before, facets):
@@ -239,20 +255,23 @@ def search_reduction_witness(P: VPolytope, ball: PolytopalNorm):
     side opposite the facet, so the inscribed copy survives the cut.
     Requires the origin strictly inside P.
 
-    P's thickness LP family is solved once, and each piece's chord is read
-    off its multipliers; a candidate is then settled by the inscribed-ball
-    bound, by the chords it keeps, and by LPs on the cut body for the other
-    pieces only, stopping at the first piece that falls below (_verify_cut).
-    A witness found reads as verify_reduction_witness reports it.
+    P's thickness LP family is solved once, each piece's chord is read off
+    its multipliers, and which facets of P each vertex lies on is found once.
+    A candidate is then settled by the inscribed-ball bound, refuted by the
+    width along its own normal, and otherwise settled by the chords it keeps
+    and by LPs on the cut body for the other pieces only, stopping at the
+    first piece that falls below (_verify_cut).  A witness found reads as
+    verify_reduction_witness reports it.
     """
     body_facets = facets_of(P)
     scale = inball_scale(body_facets, ball)
     before, chords = _family_chords(P, ball)
+    incidence = _incidence(P, body_facets)
     for f in body_facets.facets:
         neg = vneg(f.normal)
         cut = Halfspace(neg, scale * dual_support(neg, ball))
         try:
-            witness = _verify_cut(P, cut, ball, before, body_facets, chords)
+            witness = _verify_cut(P, cut, ball, before, body_facets, chords, incidence)
         except (DegenerateBody, EmptyIntersection):
             continue
         if witness is not None and witness.valid:

@@ -16,8 +16,8 @@ from itertools import product
 from typing import Callable
 
 from .errors import DimensionMismatch, GeometryError, SizeLimitExceeded
-from .polytope import Halfspace, HPolytope, VPolytope, support
-from .qlinalg import affine_rank, dot, exact_div, unit_vec, vneg
+from .polytope import Halfspace, HPolytope, VPolytope, hull_facets, support
+from .qlinalg import dot, exact_div, unit_vec, vneg
 
 BALL_MAX_DIM = 16
 
@@ -90,10 +90,11 @@ def linf_ball(dim: int) -> PolytopalNorm:
 def custom_ball(ball_v: VPolytope, ball_h: HPolytope) -> PolytopalNorm:
     """Build a norm from both ball representations, verifying consistency.
 
-    Checks: matching dimensions, central symmetry of both representations,
-    origin strictly interior (every rhs > 0), full dimensionality, every
-    vertex satisfying every facet and tight on at least dim of them, every
-    facet tight at dim or more vertices.
+    Checks: matching dimensions, central symmetry of the vertices, the facet
+    list being exactly the facet set of the vertices' hull (hull_facets, so
+    the ball is gated to HULL_MAX_DIM and a flat one raises), and every
+    vertex tight on at least dim facets.  Symmetry and full dimension put
+    the origin strictly inside.
     """
     if ball_v.dim != ball_h.dim:
         raise DimensionMismatch("ball representations disagree on dimension")
@@ -102,33 +103,13 @@ def custom_ball(ball_v: VPolytope, ball_h: HPolytope) -> PolytopalNorm:
     for v in ball_v.vertices:
         if vneg(v) not in vset:
             raise GeometryError(f"vertex set is not centrally symmetric at {v}")
-    fset = {(f.normal, f.rhs) for f in ball_h.facets}
-    for f in ball_h.facets:
-        if f.rhs <= 0:
-            raise GeometryError("the origin must be strictly inside the ball")
-        if (vneg(f.normal), f.rhs) not in fset:
-            raise GeometryError(
-                f"facet set is not centrally symmetric at normal {f.normal}"
-            )
-    if affine_rank(ball_v.vertices) != dim:
-        raise GeometryError("the ball must be full-dimensional")
-    tight_per_facet = [0] * len(ball_h.facets)
+    hull = hull_facets(ball_v.vertices)
+    if {(f.normal, f.rhs) for f in hull.facets} != {(f.normal, f.rhs) for f in ball_h.facets}:
+        raise GeometryError("the facets are not those of the vertices' hull")
     for v in ball_v.vertices:
-        tight = 0
-        for k, f in enumerate(ball_h.facets):
-            val = dot(f.normal, v)
-            if val > f.rhs:
-                raise GeometryError(f"vertex {v} violates facet {f.normal}")
-            if val == f.rhs:
-                tight += 1
-                tight_per_facet[k] += 1
+        tight = sum(dot(f.normal, v) == f.rhs for f in hull.facets)
         if tight < dim:
             raise GeometryError(f"vertex {v} is tight on {tight} < {dim} facets")
-    for k, count in enumerate(tight_per_facet):
-        if count < dim:
-            raise GeometryError(
-                f"facet {ball_h.facets[k].normal} is tight at {count} < {dim} vertices"
-            )
 
     def polar_support(x):
         return max(exact_div(dot(f.normal, x), f.rhs) for f in ball_h.facets)

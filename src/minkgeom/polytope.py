@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from operator import mul
 
 from .errors import (
     CertificateError,
@@ -28,6 +30,7 @@ from .errors import (
 from .lp import OPTIMAL, UNBOUNDED, LpProblem, lp_max
 from .qlinalg import (
     _forward_eliminate,
+    _integer_row,
     affine_rank,
     check_rational_types,
     dot,
@@ -65,6 +68,12 @@ class VPolytope:
         if len(set(verts)) != len(verts):
             raise DegenerateBody("duplicate points")
         object.__setattr__(self, "vertices", verts)
+
+    @cached_property
+    def _integer_vertices(self):
+        """(rows, den): the vertices times den, the lcm of their denominators, in ints."""
+        den = math.lcm(*(x.denominator for v in self.vertices for x in v))
+        return [tuple(x.numerator * (den // x.denominator) for x in v) for v in self.vertices], den
 
 
 @dataclass(frozen=True)
@@ -112,10 +121,16 @@ class HPolytope:
 
 
 def support(P: VPolytope, u):
-    """max over the points of u . v (the support function of the hull)."""
+    """max over the points of u . v (the support function of the hull).
+
+    Evaluated in integers: u scaled by _integer_row, the points by their
+    common denominator once per body, and one division at the end.
+    """
     if len(u) != P.dim:
         raise DimensionMismatch(f"direction of length {len(u)} in dimension {P.dim}")
-    return max(dot(u, v) for v in P.vertices)
+    rows, den = P._integer_vertices
+    ints, scale = _integer_row(u)
+    return exact_div(max(sum(map(mul, ints, row)) for row in rows), den * scale)
 
 
 def simplex_hrep(P: VPolytope) -> HPolytope:
@@ -195,17 +210,17 @@ def cut_polytope(P: VPolytope, h: Halfspace) -> VPolytope:
 
     P's kept vertices stay in order, then the points where edges from a
     strictly cut vertex to a strictly kept one cross the hyperplane, in (cut
-    index, kept index) order.  Every vertex pair of a simplex is an edge;
-    otherwise the edges come from P's facets by _adjacent_pairs, so the cut
-    inherits HULL_MAX_DIM and needs P full-dimensional.  Points whose tight
-    facet normals have rank below dim are not vertices and are dropped.  A
-    cut that removes nothing returns P itself.
+    index, kept index) order.  The edges come from P's facets by
+    _adjacent_pairs, so the cut inherits HULL_MAX_DIM unless P is a simplex,
+    and needs P full-dimensional.  Points whose tight facet normals have rank
+    below dim are not vertices and are dropped.  A cut that removes nothing
+    returns P itself.
     """
     return _cut_polytope(P, h, None)
 
 
-def _cut_polytope(P, h, facets):
-    """cut_polytope with P's facets given, or None to compute them."""
+def _cut_polytope(P, h, facets, incidence=None):
+    """cut_polytope with P's facets and their _incidence given, each None to compute it."""
     d = P.dim
     if len(h.normal) != d:
         raise DimensionMismatch(f"cut normal of length {len(h.normal)} in dimension {d}")
@@ -214,23 +229,34 @@ def _cut_polytope(P, h, facets):
         raise EmptyIntersection("the cut removes every vertex")
     if all(val <= 0 for val in vals):
         return P
-    verts, masks = list(zip(P.vertices, vals)), None  # every vertex pair of a simplex is an edge
-    if len(P.vertices) != d + 1 or (facets is None and affine_rank(P.vertices) != d):
-        H = facets_of(P) if facets is None else facets  # a flat P raises here
-        pts, verts, masks = verts, [], []
-        for v, val in pts:
-            tight = [k for k, f in enumerate(H.facets) if dot(f.normal, v) == f.rhs]
-            if gauss_rank([H.facets[k].normal for k in tight]) == d:
-                verts.append((v, val))
-                masks.append(sum(1 << k for k in tight))
+    if incidence is None:
+        incidence = _incidence(P, facets)
+    verts = [(P.vertices[i], vals[i]) for i, _ in incidence]
+    masks = [mask for _, mask in incidence]
     out = [v for v, val in verts if val <= 0]
     cut = [i for i, (_, a) in enumerate(verts) if a > 0]
     kept = [j for j, (_, b) in enumerate(verts) if b < 0]
-    for i, j in product(cut, kept) if masks is None else _adjacent_pairs(masks, cut, kept, d - 1):
+    for i, j in _adjacent_pairs(masks, cut, kept, d - 1):
         (u, a), (v, b) = verts[i], verts[j]
         t = exact_div(a, a - b)
         out.append(tuple(x + t * (y - x) for x, y in zip(u, v)))
     return VPolytope(d, tuple(out))
+
+
+def _incidence(P, facets):
+    """Per vertex of P, (its index, the bitmask of the facets of P it lies on).
+
+    facets are P's, or None to compute them, which raises on a flat P.  A
+    point is a vertex when its facets' normals have rank dim.  On a simplex's
+    facets _adjacent_pairs joins every vertex pair.
+    """
+    H = facets_of(P) if facets is None else facets
+    out = []
+    for i, v in enumerate(P.vertices):
+        tight = [k for k, f in enumerate(H.facets) if dot(f.normal, v) == f.rhs]
+        if gauss_rank([H.facets[k].normal for k in tight]) == P.dim:
+            out.append((i, sum(1 << k for k in tight)))
+    return out
 
 
 def _adjacent_pairs(masks, left, right, rank):

@@ -1,13 +1,17 @@
 """End-to-end CLI behavior: JSON output, exit codes, error objects."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkgeom import completeness
 from minkgeom.cli import main
-from minkgeom.norms import l1_ball
+from minkgeom.norms import l1_ball, linf_ball
 from minkgeom.polytope import body_to_obj
 
 L1_BALL_3 = {
@@ -178,17 +182,20 @@ class TestWitness:
     def test_cut_on_a_non_simplex_past_the_hull_gate(self, capsys, tmp_path, monkeypatch):
         # the cut of a non-simplex reads its edges off its facets, which
         # HULL_MAX_DIM gates: a 9-simplex with one more point.  The gate
-        # fires before P's thickness LPs, the work it bounds.
+        # fires before P's thickness LPs, the work it bounds.  A cut that
+        # keeps no point strictly inside flattens the body, which the signs
+        # decide before the gate.
         thickness_calls = []
         monkeypatch.setattr(completeness, "thickness", lambda *args: thickness_calls.append(args))
         verts = [[0] * 9] + [[int(i == j) for j in range(9)] for i in range(9)] + [[1] * 9]
         body = tmp_path / "body9.json"
         body.write_text(json.dumps({"dim": 9, "vertices": verts}))
         cut = tmp_path / "cut.json"
-        cut.write_text(json.dumps({"a": ["1"] + ["0"] * 8, "b": "0"}))
-        code, obj = run(capsys, ["witness", "--body", str(body), "--ball", "l1", "--cut", str(cut)])
-        assert code == 2
-        assert obj["error"]["type"] == "SizeLimitExceeded"
+        for rhs, error in (("1/2", "SizeLimitExceeded"), ("0", "DegenerateBody")):
+            cut.write_text(json.dumps({"a": ["1"] + ["0"] * 8, "b": rhs}))
+            code, obj = run(capsys, ["witness", "--body", str(body), "--ball", "l1", "--cut", str(cut)])
+            assert code == 2
+            assert obj["error"]["type"] == error
         assert thickness_calls == []
 
 
@@ -300,3 +307,152 @@ class TestErrors:
         assert code == 3
         assert obj["error"]["type"] == "CertificateError"
         assert "non-facet" in obj["error"]["message"]
+
+
+# -- malformed input ----------------------------------------------------------
+
+# the origin-centred tetrahedron K, which every command accepts with l1_ball(3)
+GOOD_BODY = {"dim": 3, "vertices": [["-1", "-1", "-1"], ["1", "1", "-1"], ["1", "-1", "1"], ["-1", "1", "1"]]}
+# values that no rational field accepts
+BAD_SCALAR = st.sampled_from([0.5, True, None, {}, [], "", "abc", "1/0", "1.5", "1e3", "NaN", "1/2/3"])
+BAD_DIM = st.sampled_from(["3", 3.0, True, None, [3], 0, -1, 2, 4])
+NOT_A_LIST = st.sampled_from([None, 3, "abc", {"a": 1}])
+NOT_AN_OBJECT = st.sampled_from([None, 3, "abc", [], [1, 2, 3]])
+
+
+@st.composite
+def bad_body(draw):
+    """GOOD_BODY with one fault, as JSON-ready data."""
+    obj = json.loads(json.dumps(GOOD_BODY))
+    verts = obj["vertices"]
+    i, j = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    fault = draw(st.sampled_from([
+        "not an object", "no dim", "no vertices", "dim", "vertices", "vertex",
+        "vertex length", "scalar", "duplicate", "flat", "single point", "facets",
+    ]))
+    if fault == "not an object":
+        return draw(NOT_AN_OBJECT)
+    if fault in ("no dim", "no vertices"):
+        del obj[fault[3:]]
+    elif fault == "dim":
+        obj["dim"] = draw(BAD_DIM)
+    elif fault == "vertices":
+        obj["vertices"] = draw(NOT_A_LIST)
+    elif fault == "vertex":
+        verts[i] = draw(NOT_A_LIST)
+    elif fault == "vertex length":
+        verts[i] = verts[i][:j] if draw(st.booleans()) else verts[i] + ["0"]
+    elif fault == "scalar":
+        verts[i][j] = draw(BAD_SCALAR)
+    elif fault == "duplicate":
+        verts.append(list(verts[i]))
+    elif fault == "flat":
+        for v in verts:
+            v[j] = "2"
+    elif fault == "single point":
+        obj["vertices"] = [verts[i]]
+    else:
+        obj = {"dim": 3, "facets": [{"a": ["1", "0", "0"], "b": "1"}]}
+    return obj
+
+
+def ball_obj(ball):
+    """A built-in ball as custom-ball JSON data, in lists."""
+    obj = {"dim": ball.dim, "vertices": body_to_obj(ball.ball_v)["vertices"]}
+    obj["facets"] = body_to_obj(ball.ball_h)["facets"]
+    return json.loads(json.dumps(obj))
+
+
+@st.composite
+def bad_ball(draw):
+    """The l1 or linf ball in dimension 3 with one fault."""
+    obj = ball_obj(draw(st.sampled_from([l1_ball, linf_ball]))(3))
+    verts, facets = obj["vertices"], obj["facets"]
+    k = draw(st.integers(0, len(verts) - 1))
+    f = draw(st.integers(0, len(facets) - 1))
+    fault = draw(st.sampled_from([
+        "not an object", "missing", "dim", "vertex", "scalar", "drop vertex", "drop pair",
+        "drop facet", "stretch", "rhs", "normal", "flat", "other dim",
+    ]))
+    if fault == "not an object":
+        return draw(NOT_AN_OBJECT)
+    if fault == "missing":
+        del obj[draw(st.sampled_from(["dim", "vertices", "facets"]))]
+    elif fault == "dim":
+        obj["dim"] = draw(BAD_DIM)
+    elif fault == "vertex":
+        verts[k] = draw(NOT_A_LIST)
+    elif fault == "scalar":
+        if draw(st.booleans()):
+            verts[k][draw(st.integers(0, 2))] = draw(BAD_SCALAR)
+        else:
+            facets[f][draw(st.sampled_from(["a", "b"]))] = draw(BAD_SCALAR)
+    elif fault == "drop vertex":
+        del verts[k]
+    elif fault == "drop pair":
+        # still symmetric, but the facet list no longer bounds the vertices' hull
+        # (linf), or the hull is flat (l1)
+        obj["vertices"] = [v for v in verts if v != verts[k] and v != [str(-int(x)) for x in verts[k]]]
+    elif fault == "drop facet":
+        del facets[f]
+    elif fault == "stretch":
+        verts[k] = [str(2 * int(x)) for x in verts[k]]
+    elif fault == "rhs":
+        facets[f]["b"] = draw(st.sampled_from(["0", "-1", "2"]))
+    elif fault == "normal":
+        facets[f]["a"] = draw(st.sampled_from([["0", "0", "0"], ["1", "1"], []]))
+    elif fault == "flat":
+        obj["vertices"] = [list(v) for v in dict.fromkeys(tuple(v[:2]) + ("0",) for v in verts)]
+    else:
+        obj = ball_obj(l1_ball(2))
+    return obj
+
+
+class TestMalformedInput:
+    """Every malformed body or custom ball is bad input: exit 2 and an error object."""
+
+    @staticmethod
+    def check(path, text, argv):
+        path.write_text(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code == 2, out.getvalue()
+        assert set(json.loads(out.getvalue())) == {"error"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(obj=bad_body(), command=st.sampled_from(["metrics", "complete", "witness"]))
+    def test_bad_body(self, tmp_path_factory, obj, command):
+        path = tmp_path_factory.getbasetemp() / "bad_body.json"
+        self.check(path, json.dumps(obj), [command, "--body", str(path), "--ball", "l1"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(obj=bad_ball(), command=st.sampled_from(["metrics", "complete", "witness"]))
+    def test_bad_ball(self, tmp_path_factory, obj, command):
+        base = tmp_path_factory.getbasetemp()
+        body, path = base / "good_body.json", base / "bad_ball.json"
+        body.write_text(json.dumps(GOOD_BODY))
+        self.check(path, json.dumps(obj), [command, "--body", str(body), "--ball", str(path)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        which=st.sampled_from(["body", "ball"]),
+        form=st.sampled_from(["cut short", "junk after", "nested too deeply"]),
+        cut=st.integers(0, 10**6),
+        junk=st.sampled_from(["}", "\x00", "x", "[]"]),
+    )
+    def test_broken_json_text(self, tmp_path_factory, which, form, cut, junk):
+        # text that is no JSON document
+        base = tmp_path_factory.getbasetemp()
+        body, path = base / "good_body.json", base / f"broken_{which}.json"
+        body.write_text(json.dumps(GOOD_BODY))
+        text = json.dumps(GOOD_BODY if which == "body" else ball_obj(l1_ball(3)))
+        text = {
+            "cut short": text[: cut % len(text)],
+            "junk after": text + junk,
+            "nested too deeply": "[" * 100000,
+        }[form]
+        if which == "body":
+            self.check(path, text, ["metrics", "--body", str(path), "--ball", "l1"])
+        else:
+            self.check(path, text, ["metrics", "--body", str(body), "--ball", str(path)])

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import random_body
-from minkgeom import completeness
+from minkgeom import completeness, metrics
 from minkgeom.completeness import (
     _family_chords,
     _verify_cut,
@@ -25,8 +25,9 @@ from minkgeom.polytope import (
     facets_of,
     halfspace,
     is_subset,
+    support,
 )
-from minkgeom.qlinalg import dot, vneg
+from minkgeom.qlinalg import dot, exact_div, vneg
 
 
 class TestBallHull:
@@ -282,14 +283,44 @@ class TestBoundedCutCheck:
         if found is not None:
             assert found.to_obj() == reference.to_obj()
 
-    def test_failed_early_exit_certificate_is_not_a_no(self, monkeypatch, ball3):
-        # every candidate cut of this simplex falls below its thickness, each
-        # certified by the width of one piece direction; a width that fails
-        # the bound is a fault, and the search must raise rather than skip
-        # the cut as invalid
+    @pytest.mark.parametrize("P, ball", list(equivalence_cases()))
+    def test_normal_bound_refutes_only_invalid_cuts(self, P, ball):
+        # the search refutes a cut when the width along its own normal,
+        # bounded by (r + h_P(-a)) / h_B(a), falls below th(P); the exact
+        # thickness of the cut body must then lie at or below that bound
+        facets = facets_of(P)
+        before, chords = _family_chords(P, ball)
+        for cut in candidate_cuts(P, ball):
+            vals = [dot(cut.normal, v) - cut.rhs for v in P.vertices]
+            if max(vals) <= 0 or min(vals) >= 0:
+                continue  # removes nothing, everything, or flattens P
+            bound = exact_div(cut.rhs + support(P, vneg(cut.normal)), dual_support(cut.normal, ball))
+            if bound >= before:
+                continue
+            assert _verify_cut(P, cut, ball, before, facets, chords) is None
+            full = verify_reduction_witness(P, cut, ball)
+            assert full.thickness_after <= bound < full.thickness_before == before
+            assert not full.valid
+
+    def test_normal_bound_leaves_only_the_family_lps(self, monkeypatch, ball3):
+        # every candidate cut of this simplex is refuted by the width along
+        # its own normal, so the search solves P's three piece LPs and no LP
+        # on any cut body; settling each cut by its pieces solved seven
         P = VPolytope(3, ((-5, -3, 2), (-1, 5, -2), (-9, -3, -6), (15, 1, 6)))
+        calls = []
+        solve = metrics.lp_max
+        monkeypatch.setattr(metrics, "lp_max", lambda problem: calls.append(problem) or solve(problem))
         assert search_reduction_witness(P, ball3) is None
-        before, _ = thickness(P, ball3)
+        assert len(calls) == 3
+
+    def test_failed_early_exit_certificate_is_not_a_no(self, monkeypatch):
+        # the search on this body reaches a cut that neither bound settles
+        # and whose piece LP falls below th(P), certified by the width of the
+        # piece direction; a width that fails the bound is a fault, and the
+        # search must raise rather than skip the cut as invalid
+        P, ball = centred_body(random.Random("bounded-cut/3/7/0"), 3, 7), linf_ball(3)
+        assert search_reduction_witness(P, ball) is None
+        before, _ = thickness(P, ball)
         monkeypatch.setattr(completeness, "width", lambda Q, u, ball: before)
         with pytest.raises(CertificateError, match="width bound"):
-            search_reduction_witness(P, ball3)
+            search_reduction_witness(P, ball)

@@ -1,6 +1,7 @@
 """Polyhedral norms: ball construction, norm axioms, dual supports, distances."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from minkgeom.norms import (
     parallel_hyperplane_distance,
     point_hyperplane_distance,
 )
-from minkgeom.polytope import HPolytope, VPolytope, contains, halfspace
+from minkgeom.polytope import HULL_MAX_DIM, HPolytope, VPolytope, contains, halfspace
 from minkgeom.qlinalg import dot, exact_div, vscale
 
 rational = st.fractions(
@@ -107,6 +108,22 @@ class TestBallConstruction:
                           halfspace((0, 1), 1), halfspace((0, -1), 1)))
         with pytest.raises(GeometryError):
             custom_ball(V, H)
+
+    def test_custom_ball_rejects_facets_of_another_ball(self):
+        # six corners of the cube with the cube's facets: symmetric, each
+        # corner on three facets and each facet on three corners, but the
+        # corners' hull is cut off at +-(1, 1, 1), so the norm and its dual
+        # would describe two different balls
+        corners = tuple(c for c in product((1, -1), repeat=3) if c not in ((1, 1, 1), (-1, -1, -1)))
+        H = linf_ball(3).ball_h
+        with pytest.raises(GeometryError, match="not those of the vertices' hull"):
+            custom_ball(VPolytope(3, corners), H)
+        custom_ball(linf_ball(3).ball_v, H)
+
+    def test_custom_ball_is_gated_with_facet_enumeration(self):
+        ball = linf_ball(HULL_MAX_DIM + 1)
+        with pytest.raises(SizeLimitExceeded):
+            custom_ball(ball.ball_v, ball.ball_h)
 
     def test_custom_ball_rejects_flat_ball(self):
         V = VPolytope(2, ((1, 0), (-1, 0)))
